@@ -43,10 +43,7 @@ def summarize_trace(events: Iterable[dict]) -> Dict[str, object]:
     solve_end payload, if any), ``service`` (svc_* event totals from a
     :class:`repro.service.SolveService` trace: enqueued / cache_hits /
     coalesced / warm_starts / rejects, the derived ``cache_hit_rate``, and
-    ``reject_reasons``), and ``evolve`` (evo_* totals from a
-    :class:`repro.evolve.GeneticSolver` run: ``generations`` completed,
-    ``islands`` observed, ``migrations``, ``converged``, and the best
-    objective any generation reported).
+    ``reject_reasons``).
     """
     counts: Counter = Counter()
     n_events = 0
@@ -63,11 +60,6 @@ def summarize_trace(events: Iterable[dict]) -> Dict[str, object]:
     svc = {"enqueued": 0, "cache_hits": 0, "coalesced": 0,
            "warm_starts": 0, "rejects": 0}
     reject_reasons: Counter = Counter()
-    evo_generations = 0
-    evo_islands = 0
-    evo_migrations = 0
-    evo_converged = False
-    evo_best: Optional[float] = None
 
     for event in events:
         ev = event.get("ev", "?")
@@ -121,20 +113,6 @@ def summarize_trace(events: Iterable[dict]) -> Dict[str, object]:
         elif ev == "svc_reject":
             svc["rejects"] += 1
             reject_reasons[event.get("reason", "?")] += 1
-        elif ev == "evo_generation":
-            gen = event.get("generation")
-            if isinstance(gen, int):
-                evo_generations = max(evo_generations, gen + 1)
-            island = event.get("island")
-            if isinstance(island, int):
-                evo_islands = max(evo_islands, island + 1)
-            best = event.get("best")
-            if isinstance(best, (int, float)):
-                evo_best = best if evo_best is None else min(evo_best, best)
-        elif ev == "evo_migration":
-            evo_migrations += 1
-        elif ev == "evo_converge":
-            evo_converged = True
 
     span = 0.0
     if t_first is not None and t_last is not None:
@@ -169,13 +147,6 @@ def summarize_trace(events: Iterable[dict]) -> Dict[str, object]:
                       + svc["coalesced"])
             ),
             "reject_reasons": dict(reject_reasons),
-        },
-        "evolve": {
-            "generations": evo_generations,
-            "islands": evo_islands,
-            "migrations": evo_migrations,
-            "converged": evo_converged,
-            "best": evo_best,
         },
     }
 
@@ -227,16 +198,6 @@ def render_report(summary: Dict[str, object]) -> str:
         )
         for reason, count in sorted(service["reject_reasons"].items()):
             lines.append(f"    reject: {reason:<12s} {count}")
-    evolve = summary.get("evolve")
-    if isinstance(evolve, dict) and evolve.get("generations"):
-        best = evolve.get("best")
-        best_text = f"{best:.6f}" if isinstance(best, (int, float)) else "?"
-        lines.append(
-            f"  evolve                 {evolve['generations']} generations "
-            f"x {evolve['islands']} islands "
-            f"(migrations {evolve['migrations']}, "
-            f"converged {evolve['converged']}, best {best_text})"
-        )
     final = summary["final"]
     if isinstance(final, dict):
         objective = final.get("objective")

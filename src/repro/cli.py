@@ -287,21 +287,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               f"mean regret {online['mean_regret']:.4f}, "
               f"never worse than greedy: "
               f"{online['never_worse_than_greedy']}", file=sys.stderr)
-    evolve = doc.get("evolve")
-    if evolve:
-        for point in evolve["points"]:
-            med = point["median"]
-            print(f"  evolve n={point['n']} "
-                  f"wall={point['wall_budget_s']}s: "
-                  f"genetic {med['genetic']:.6f}  "
-                  f"hill {med['hill']:.6f}  "
-                  f"anneal {med['anneal']:.6f}  "
-                  f"pg {med['pg']:.6f}", file=sys.stderr)
-        print(f"  evolve flags: never_worse_than_pg="
-              f"{evolve['genetic_never_worse_than_pg']} "
-              f"beats_anneal={evolve['genetic_beats_anneal']} "
-              f"beats_hill={evolve['genetic_beats_hill']}",
-              file=sys.stderr)
     if doc["baseline"] is not None:
         base = doc["baseline"]
         print(f"  vs baseline {base['revision']}: "
@@ -614,8 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="score expansion levels on N worker processes "
-             "(search-based solvers only; 1 = in-process)",
+        help="run portfolio members on N worker processes "
+             "(ignored by other solvers; 1 = in-process)",
     )
     p_solve.add_argument(
         "--budget", type=float, default=None, metavar="SECONDS",

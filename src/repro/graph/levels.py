@@ -35,7 +35,6 @@ from ..core.degradation import MissRatePressureModel
 from ..core.jobs import JobKind
 from ..core.problem import CoSchedulingProblem
 from ..perf import kernels as _kernels
-from ..perf.parallel_expand import ParallelLevelScorer
 from .subset_enum import iter_subsets_monotone
 
 __all__ = ["SuccessorGenerator", "HeuristicEstimator"]
@@ -89,16 +88,12 @@ class SuccessorGenerator:
         condense_pc: bool = False,
         lazy_threshold: int = 512,
         presort_limit: int = 300_000,
-        parallel_workers: Optional[int] = None,
-        parallel_threshold: int = 8192,
-        parallel_chunk: int = 4096,
     ):
         self.problem = problem
         self.condense_pe = condense_pe
         self.condense_pc = condense_pc
         self.lazy_threshold = lazy_threshold
         self.presort_limit = presort_limit
-        self.parallel_threshold = parallel_threshold
         wl = problem.workload
         self._kind: List[JobKind] = [wl.kind_of(pid) for pid in wl.iter_pids()]
         self._job_id: List[int] = [
@@ -134,41 +129,6 @@ class SuccessorGenerator:
         )
         self._levels_sorted: Optional[List[List[Tuple[float, Tuple[int, ...]]]]] = None
         self.stats = {"generated": 0, "condensed_away": 0}
-        # Opt-in multiprocessing MER scoring: only pays off when the model
-        # kernel is vectorized and levels are big enough to amortize pickles.
-        self._scorer: Optional[ParallelLevelScorer] = None
-        if (
-            parallel_workers is not None
-            and parallel_workers > 1
-            and problem.supports_batch_weights()
-        ):
-            self._scorer = ParallelLevelScorer(
-                problem.model, parallel_workers, chunk=parallel_chunk
-            )
-
-    def close(self) -> None:
-        """Release the parallel scoring pool, if one was started."""
-        if self._scorer is not None:
-            self._scorer.close()
-
-    def _score_nodes(self, nodes: List[Tuple[int, ...]]) -> np.ndarray:
-        """Weights for already-enumerated nodes, one kernel call per chunk.
-
-        Routes through the problem's memoized batch evaluator; levels past
-        ``parallel_threshold`` go to the worker pool instead (bypassing the
-        memo — frontiers that large are throw-away).  Returns the scored
-        float array itself so callers can trim or sort it without ever
-        materializing per-node Python objects.
-        """
-        if (
-            self._scorer is not None
-            and len(nodes) >= self.parallel_threshold
-            and self.problem.node_extra_cost is None
-        ):
-            weights = self._scorer.score(np.asarray(nodes, dtype=np.intp))
-            self.problem.counters.observe_batch("parallel_level_score", len(nodes))
-            return weights
-        return self.problem.node_weights_batch(nodes)
 
     def _ensure_presorted(self) -> None:
         if self._levels_sorted is not None:
@@ -182,7 +142,7 @@ class SuccessorGenerator:
                 for combo in itertools.combinations(range(L + 1, n), u - 1)
             ]
             if batch_ok:
-                weights = self._score_nodes(nodes)
+                weights = self.problem.node_weights_batch(nodes)
             else:
                 weights = np.asarray(
                     [self.problem.node_weight(nd) for nd in nodes]
@@ -300,10 +260,9 @@ class SuccessorGenerator:
                 seen_keys.add(key)
             nodes.append(node)
         # Score the whole surviving level at once: one batch-kernel call
-        # (chunked to workers at scale) instead of one Python weight
-        # evaluation per node.
+        # instead of one Python weight evaluation per node.
         if self.problem.supports_batch_weights():
-            weights = self._score_nodes(nodes)
+            weights = self.problem.node_weights_batch(nodes)
         else:
             node_weight = self.problem.node_weight
             weights = np.asarray([node_weight(nd) for nd in nodes])

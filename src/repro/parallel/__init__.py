@@ -1,6 +1,5 @@
 """Parallelized solving (the paper's future-work item 1)."""
 
 from .portfolio import PortfolioSolver
-from .split_search import RestrictedModel, SplitOAStar
 
-__all__ = ["PortfolioSolver", "RestrictedModel", "SplitOAStar"]
+__all__ = ["PortfolioSolver"]

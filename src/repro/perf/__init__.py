@@ -1,4 +1,4 @@
-"""Performance layer: batch kernels plumbing, counters, parallel scoring.
+"""Performance layer: batch kernels plumbing, counters, tracing.
 
 The batch weight kernels themselves live on the degradation models
 (:meth:`repro.core.degradation.CacheDegradationModel.node_weights_batch`) and
@@ -10,18 +10,14 @@ so every caller sees one interface; this package holds what surrounds them:
   and ``SolveResult.stats["profile"]``;
 * :class:`Tracer` / :func:`read_trace` — structured JSONL search events
   (expand / dismiss / incumbent / bound / fallback …), attached through
-  ``problem.counters.tracer`` and surfaced via ``cosched solve --trace``;
-* :class:`ParallelLevelScorer` — opt-in multiprocessing map for HA*'s
-  per-level MER scoring at scale.
+  ``problem.counters.tracer`` and surfaced via ``cosched solve --trace``.
 """
 
 from .counters import PerfCounters
-from .parallel_expand import ParallelLevelScorer
 from .tracer import EVENT_TYPES, Tracer, read_trace
 
 __all__ = [
     "PerfCounters",
-    "ParallelLevelScorer",
     "Tracer",
     "read_trace",
     "EVENT_TYPES",

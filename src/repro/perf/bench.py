@@ -14,8 +14,8 @@ The document records, for this working tree and this machine:
   solves) and nodes/second for a fixed synthetic HA* instance;
 * **service scaling** — aggregate throughput of the sharded
   multi-process tier (``docs/DEPLOYMENT.md``) on a 50%-duplicate request
-  stream at increasing shard counts, using wall-budgeted anytime solves
-  so the work is deadline-bound and the shard processes overlap; the
+  stream at increasing shard counts (never more shards than CPUs), using
+  fixed-iteration CPU-bound solves so the sweep measures capacity; the
   ratio of the largest point to the single-shard point is the recorded
   ``speedup_max_shards``;
 * **online repair** — the incremental re-solve engine
@@ -23,11 +23,8 @@ The document records, for this working tree and this machine:
   trace: amortized speedup of ``repair?base=hastar`` against
   per-event full re-solves, mean/max objective regret, and the
   never-worse-than-greedy guarantee flag;
-* **evolve** — objective-vs-wall-budget of the ``genetic`` memetic
-  solver (``docs/EVOLVE.md``) against ``pg`` / ``hill`` / ``anneal``
-  at large n under equal wall budgets: per-seed objectives, medians,
-  and the three quality flags (never worse than PG per seed; median
-  no worse than anneal and than hill per point);
+* **scenarios** — ``pg`` / ``hill`` / ``anneal`` objectives on
+  homogeneous and heterogeneous twins of one workload;
 * **provenance** — git revision, kernel backend (``native`` | ``numpy``),
   provider (``cc``/``numba``/``numpy``), and the ``COSCHED_NATIVE``
   opt-out state;
@@ -39,7 +36,8 @@ The document records, for this working tree and this machine:
 ``--smoke`` shrinks sizes and repeats to CI scale (seconds, not minutes);
 the schema is identical, so the CI ``bench-smoke`` job validates the same
 document shape the full run commits.  :func:`validate` is that schema
-check — it raises ``ValueError`` with the offending key path.
+check — it raises ``ValueError`` with the offending key path, driven by
+the :data:`SECTIONS` table of which keys each schema version requires.
 """
 
 from __future__ import annotations
@@ -55,41 +53,19 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 __all__ = ["run_bench", "validate", "write_bench", "find_baseline",
-           "trajectory", "trajectory_markdown",
-           "SCHEMA", "SCHEMA_V1", "SCHEMA_V2", "SCHEMA_V3", "SCHEMA_V4"]
+           "trajectory", "trajectory_markdown", "SECTIONS",
+           "SCHEMA", "SCHEMA_V1", "SCHEMA_V2", "SCHEMA_V3", "SCHEMA_V4",
+           "SCHEMA_V5"]
 
-#: Schema tag embedded in every new bench document.
-SCHEMA = "cosched-bench/5"
-#: Prior schemas, still accepted by :func:`validate` (v1 documents
-#: predate the ``service`` section, v2 the ``online`` one, v3 the
-#: ``evolve`` one, v4 the ``scenarios`` one).
-SCHEMA_V4 = "cosched-bench/4"
-SCHEMA_V3 = "cosched-bench/3"
-SCHEMA_V2 = "cosched-bench/2"
-SCHEMA_V1 = "cosched-bench/1"
-
-_REQUIRED_TOP = (
-    "schema", "revision", "created_unix", "kernel_backend", "provider",
-    "native_disabled", "smoke", "micro", "solve", "baseline",
+_SCHEMA_PREFIX = "cosched-bench/"
+#: Schema version of every new bench document.
+SCHEMA_VERSION = 6
+SCHEMA = f"{_SCHEMA_PREFIX}{SCHEMA_VERSION}"
+#: Prior schemas, still accepted by :func:`validate`.
+SCHEMA_V1, SCHEMA_V2, SCHEMA_V3, SCHEMA_V4, SCHEMA_V5 = (
+    f"{_SCHEMA_PREFIX}{v}" for v in range(1, SCHEMA_VERSION)
 )
-_REQUIRED_MICRO = ("numpy_ms", "active_ms", "speedup")
-_REQUIRED_SOLVE = ("spec", "n", "u", "repeats", "latency_ms",
-                   "nodes_per_sec")
-_REQUIRED_LATENCY = ("p50", "p90", "max")
-_REQUIRED_SERVICE = ("stream", "cpu_count", "points", "speedup_max_shards")
-_REQUIRED_SERVICE_POINT = ("shards", "requests", "seconds", "rps",
-                           "solves", "cache_hits", "coalesced", "shed")
-_REQUIRED_ONLINE = ("trace", "specs", "u", "events", "repair_total_ms",
-                    "full_total_ms", "amortized_speedup", "mean_regret",
-                    "max_regret", "never_worse_than_greedy", "escalations")
-_REQUIRED_EVOLVE = ("solvers", "seeds", "points",
-                    "genetic_never_worse_than_pg", "genetic_beats_anneal",
-                    "genetic_beats_hill")
-_REQUIRED_EVOLVE_POINT = ("n", "u", "wall_budget_s", "per_seed", "median",
-                          "genetic_vs")
-_REQUIRED_SCENARIOS = ("solvers", "seeds", "machines", "points",
-                       "het_vs_homog")
-_REQUIRED_SCENARIOS_POINT = ("variant", "n", "per_seed", "median")
+_VERSIONS = {f"{_SCHEMA_PREFIX}{v}": v for v in range(1, SCHEMA_VERSION + 1)}
 
 
 def _git_revision() -> str:
@@ -250,22 +226,22 @@ def _service_case(smoke: bool) -> Dict[str, object]:
     """Aggregate throughput of the sharded tier vs shard count.
 
     The stream is 50% duplicates: every distinct problem is requested
-    twice (the second wave hits the store or coalesces).  Solves are
-    wall-budgeted anytime anneal runs, so each is deadline-bound and a
-    multi-process tier overlaps them even on few cores — the quantity
-    under test is the tier's aggregate request throughput, not solver
-    speed.
+    twice (the second wave hits the store or coalesces).  Every solve is
+    a fixed-iteration anneal run with no wall budget, so it is CPU-bound
+    and shards only overlap where there are cores to run them; the sweep
+    never uses more shards than ``os.cpu_count()``.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     from ..service import ShardedService
 
+    cpu_count = os.cpu_count() or 1
     if smoke:
-        shard_counts, distinct, wall, clients = [1, 2], 4, 0.05, 4
+        shard_counts, distinct, iterations, clients = [1, 2], 4, 2000, 4
     else:
-        shard_counts, distinct, wall, clients = [1, 2, 4], 16, 0.12, 8
-    solver = "anneal?iterations=1000000000"
-    budget = {"wall_time": wall}
+        shard_counts, distinct, iterations, clients = [1, 2, 4], 16, 5000, 8
+    shard_counts = [s for s in shard_counts if s <= cpu_count]
+    solver = f"anneal?iterations={iterations}"
     problems = _balanced_stream(distinct, max_shards=shard_counts[-1])
     stream = problems + problems  # 50% duplicates
 
@@ -274,8 +250,7 @@ def _service_case(smoke: bool) -> Dict[str, object]:
         with ShardedService(shards=shards, workers_per_shard=1,
                             default_solver=solver) as svc:
             def one(problem):
-                return svc.submit(problem, solver=solver, budget=budget,
-                                  wait=60.0)
+                return svc.submit(problem, solver=solver, wait=60.0)
             t0 = time.perf_counter()
             with ThreadPoolExecutor(max_workers=clients) as pool:
                 docs = list(pool.map(one, stream))
@@ -300,10 +275,9 @@ def _service_case(smoke: bool) -> Dict[str, object]:
             "requests": len(stream),
             "duplicate_fraction": 0.5,
             "solver": solver,
-            "wall_budget_s": wall,
             "clients": clients,
         },
-        "cpu_count": os.cpu_count() or 1,
+        "cpu_count": cpu_count,
         "points": points,
         "speedup_max_shards": (
             points[-1]["rps"] / base_rps if base_rps > 0 else math.inf
@@ -330,88 +304,6 @@ def _online_case(smoke: bool) -> Dict[str, object]:
     return replay_trace(trace, base="hastar", saturation=4.0)
 
 
-def _evolve_case(smoke: bool) -> Dict[str, object]:
-    """Objective vs wall budget: ``genetic`` against the anytime field.
-
-    Every solver gets the same problem (fresh caches) and the same wall
-    budget per point; ``pg`` runs unbudgeted (it is the instant floor
-    each anytime solver must never fall below).  The seeds pair the
-    runs — ``genetic?seed=s`` against ``hill?seed=s`` — so the medians
-    compare like against like.  Smoke shrinks n and the budgets to CI
-    scale; the quality flags are only meaningful (and only enforced by
-    the full-run acceptance bar) at the full sizes.
-    """
-    from ..runtime import run_solve
-    from ..solvers import Budget
-    from ..workloads.synthetic import random_serial_instance
-
-    if smoke:
-        sizes = [(16, 0.2), (24, 0.3)]
-        seeds = [0, 1]
-    else:
-        sizes = [(32, 1.0), (48, 1.5), (64, 2.0)]
-        seeds = [0, 1, 2, 3, 4]
-    solvers = ["pg", "hill", "anneal", "genetic"]
-
-    def spec_for(solver: str, seed: int) -> str:
-        if solver == "pg":
-            return "pg"
-        if solver == "hill":
-            return f"hill?seed={seed}"
-        if solver == "anneal":
-            return f"anneal?seed={seed}&iterations=1000000000"
-        return f"genetic?seed={seed}&islands=2"
-
-    points: List[Dict[str, object]] = []
-    never_worse_than_pg = True
-    # The quality bar lives at the paper's large-n scales: the beats_*
-    # flags AND the median comparison over the two largest points only
-    # (n=48 and n=64 on the full run).  never_worse_than_pg is
-    # structural and holds at every point and seed.
-    bar_sizes = {n for n, _ in sorted(sizes)[-2:]}
-    beats_anneal = True
-    beats_hill = True
-    for n, wall in sizes:
-        per_seed: Dict[str, List[float]] = {s: [] for s in solvers}
-        for seed in seeds:
-            problem = random_serial_instance(n, "quad", seed=seed,
-                                             saturation=4.0)
-            for solver in solvers:
-                problem.clear_caches()
-                budget = None if solver == "pg" else Budget(wall_time=wall)
-                report = run_solve(problem, spec_for(solver, seed),
-                                   budget=budget)
-                per_seed[solver].append(float(report.result.objective))
-            if per_seed["genetic"][-1] > per_seed["pg"][-1] + 1e-9:
-                never_worse_than_pg = False
-        median = {s: statistics.median(per_seed[s]) for s in solvers}
-        if n in bar_sizes:
-            if median["genetic"] > median["anneal"] + 1e-9:
-                beats_anneal = False
-            if median["genetic"] > median["hill"] + 1e-9:
-                beats_hill = False
-        points.append({
-            "n": n,
-            "u": 4,
-            "wall_budget_s": wall,
-            "per_seed": per_seed,
-            "median": median,
-            # Positive margin = genetic's median is better (lower).
-            "genetic_vs": {
-                s: median[s] - median["genetic"]
-                for s in solvers if s != "genetic"
-            },
-        })
-    return {
-        "solvers": solvers,
-        "seeds": seeds,
-        "points": points,
-        "genetic_never_worse_than_pg": never_worse_than_pg,
-        "genetic_beats_anneal": beats_anneal,
-        "genetic_beats_hill": beats_hill,
-    }
-
-
 def _scenarios_case(smoke: bool) -> Dict[str, object]:
     """Solver quality on homogeneous vs heterogeneous variants of the
     same workload (``docs/SCENARIOS.md``).
@@ -433,14 +325,10 @@ def _scenarios_case(smoke: bool) -> Dict[str, object]:
     machines = ("quad", "eight")
     n = 12  # sum of the roster's cores; the homogeneous twin uses 3 quads
     seeds = [0, 1] if smoke else [0, 1, 2, 3, 4]
-    solvers = ["pg", "hill", "anneal", "genetic"]
+    solvers = ["pg", "hill", "anneal"]
 
     def spec_for(solver: str, seed: int) -> str:
-        if solver == "pg":
-            return "pg"
-        if solver == "genetic":
-            return f"genetic?seed={seed}&generations=40"
-        return f"{solver}?seed={seed}"
+        return "pg" if solver == "pg" else f"{solver}?seed={seed}"
 
     def variant_point(variant: str) -> Dict[str, object]:
         per_seed: Dict[str, List[float]] = {s: [] for s in solvers}
@@ -536,7 +424,6 @@ def run_bench(
         "solve": _solve_case(smoke, repeats),
         "service": _service_case(smoke),
         "online": _online_case(smoke),
-        "evolve": _evolve_case(smoke),
         "scenarios": _scenarios_case(smoke),
     }
     baseline = None
@@ -558,165 +445,168 @@ def run_bench(
     return doc
 
 
+_NUM = (int, float)
+
+
+class _Each:
+    """Spec: a non-empty object whose every value matches ``spec``."""
+
+    def __init__(self, spec):
+        self.spec = spec
+
+
+class _Nullable:
+    """Spec: ``None`` or a value matching ``spec``."""
+
+    def __init__(self, spec):
+        self.spec = spec
+
+
+class _OneOf:
+    """Spec: one of a fixed set of values."""
+
+    def __init__(self, *values):
+        self.values = values
+
+
+def _check(value: object, spec: object, path: str) -> None:
+    """Raise ``ValueError`` naming ``path`` unless ``value`` fits ``spec``.
+
+    A spec is a type or tuple of types (``isinstance``), a dict of
+    required keys to specs, a one-item list (a non-empty list whose items
+    match the item spec), or one of :class:`_Each`, :class:`_Nullable`,
+    :class:`_OneOf`.
+    """
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"{path} must be an object")
+        for key, sub in spec.items():
+            if key not in value:
+                raise ValueError(f"missing key: {path}.{key}")
+            _check(value[key], sub, f"{path}.{key}")
+    elif isinstance(spec, list):
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"{path} must be a non-empty list")
+        for i, item in enumerate(value):
+            _check(item, spec[0], f"{path}[{i}]")
+    elif isinstance(spec, _Each):
+        if not isinstance(value, dict) or not value:
+            raise ValueError(f"{path} must be a non-empty object")
+        for key, item in value.items():
+            _check(item, spec.spec, f"{path}.{key}")
+    elif isinstance(spec, _Nullable):
+        if value is not None:
+            _check(value, spec.spec, path)
+    elif isinstance(spec, _OneOf):
+        if value not in spec.values:
+            raise ValueError(
+                f"{path} must be one of {', '.join(map(repr, spec.values))}")
+    elif not isinstance(value, spec):
+        raise ValueError(f"{path} must be of type "
+                         f"{getattr(spec, '__name__', spec)}")
+
+
+def _solver_grid(section: Dict[str, object], path: str) -> None:
+    """Every point lists one number per seed and a median for every
+    solver the section names."""
+    for i, point in enumerate(section["points"]):
+        for solver in section["solvers"]:
+            vals = point["per_seed"].get(solver)
+            if (not isinstance(vals, list)
+                    or len(vals) != len(section["seeds"])
+                    or not all(isinstance(v, _NUM) for v in vals)):
+                raise ValueError(f"{path}.points[{i}].per_seed.{solver} "
+                                 f"must list one number per seed")
+            if not isinstance(point["median"].get(solver), _NUM):
+                raise ValueError(
+                    f"{path}.points[{i}].median.{solver} must be a number")
+
+
+def _check_scenarios(section: Dict[str, object], path: str) -> None:
+    _solver_grid(section, path)
+    variants = {p.get("variant") for p in section["points"]}
+    if not {"homogeneous", "heterogeneous"} <= variants:
+        raise ValueError(f"{path}.points must cover the 'homogeneous' and "
+                         f"'heterogeneous' variants")
+    for solver in section["solvers"]:
+        if not isinstance(section["het_vs_homog"].get(solver), _NUM):
+            raise ValueError(f"{path}.het_vs_homog.{solver} must be a number")
+
+
+#: Top-level key -> (first schema version, last schema version or
+#: ``None`` while current, required shape, extra consistency check or
+#: ``None``).  Adding a section is one row here; retiring one sets its
+#: last version.
+SECTIONS = {
+    "revision": (1, None, str, None),
+    "created_unix": (1, None, _NUM, None),
+    "kernel_backend": (1, None, _OneOf("native", "numpy"), None),
+    "provider": (1, None, str, None),
+    "native_disabled": (1, None, bool, None),
+    "smoke": (1, None, bool, None),
+    "micro": (1, None, _Each(
+        {"numpy_ms": _NUM, "active_ms": _NUM, "speedup": _NUM}), None),
+    "solve": (1, None, {
+        "spec": str, "n": int, "u": int, "repeats": int,
+        "latency_ms": {"p50": _NUM, "p90": _NUM, "max": _NUM},
+        "nodes_per_sec": _NUM,
+    }, None),
+    "baseline": (1, None, _Nullable(
+        {"revision": str, "speedup_vs_baseline": _NUM}), None),
+    "service": (2, None, {
+        "stream": dict, "cpu_count": int, "speedup_max_shards": _NUM,
+        "points": [{key: _NUM for key in (
+            "shards", "requests", "seconds", "rps", "solves", "cache_hits",
+            "coalesced", "shed")}],
+    }, None),
+    "online": (3, None, {
+        "trace": dict, "specs": dict, "u": int,
+        "never_worse_than_greedy": bool,
+        **{key: _NUM for key in (
+            "repair_total_ms", "full_total_ms", "amortized_speedup",
+            "mean_regret", "max_regret", "escalations")},
+        "events": [{"repair_ms": _NUM, "full_ms": _NUM, "regret": _NUM}],
+    }, None),
+    # Retired: the genetic solver it measured was removed after v5.
+    "evolve": (4, 5, {
+        "solvers": [str], "seeds": [int],
+        "genetic_never_worse_than_pg": bool, "genetic_beats_anneal": bool,
+        "genetic_beats_hill": bool,
+        "points": [{"n": _NUM, "u": _NUM, "wall_budget_s": _NUM,
+                    "per_seed": dict, "median": dict, "genetic_vs": dict}],
+    }, _solver_grid),
+    "scenarios": (5, None, {
+        "solvers": [str], "seeds": [int], "machines": list,
+        "het_vs_homog": dict,
+        "points": [{"variant": str, "n": _NUM, "per_seed": dict,
+                    "median": dict}],
+    }, _check_scenarios),
+}
+
+
 def validate(doc: object) -> None:
-    """Raise ``ValueError`` unless ``doc`` is a valid bench document."""
+    """Raise ``ValueError`` unless ``doc`` is a valid bench document.
+
+    The ``schema`` tag picks which :data:`SECTIONS` rows apply; every
+    section a version requires must be present and well-formed.
+    """
     if not isinstance(doc, dict):
         raise ValueError("bench document must be an object")
-    for key in _REQUIRED_TOP:
+    if "schema" not in doc:
+        raise ValueError("missing key: schema")
+    schema = doc["schema"]
+    if not isinstance(schema, str) or schema not in _VERSIONS:
+        raise ValueError(f"schema must be {SCHEMA_V1} .. {SCHEMA}, "
+                         f"got {schema!r}")
+    version = _VERSIONS[schema]
+    for key, (since, until, spec, extra) in SECTIONS.items():
+        if version < since or (until is not None and version > until):
+            continue
         if key not in doc:
             raise ValueError(f"missing key: {key}")
-    known = (SCHEMA, SCHEMA_V4, SCHEMA_V3, SCHEMA_V2, SCHEMA_V1)
-    if doc["schema"] not in known:
-        raise ValueError(
-            f"schema must be one of {', '.join(repr(s) for s in known)}, "
-            f"got {doc['schema']!r}"
-        )
-    if doc["kernel_backend"] not in ("native", "numpy"):
-        raise ValueError("kernel_backend must be 'native' or 'numpy'")
-    micro = doc["micro"]
-    if not isinstance(micro, dict) or not micro:
-        raise ValueError("micro must be a non-empty object")
-    for name, case in micro.items():
-        for key in _REQUIRED_MICRO:
-            if key not in case:
-                raise ValueError(f"missing key: micro.{name}.{key}")
-            if not isinstance(case[key], (int, float)):
-                raise ValueError(f"micro.{name}.{key} must be a number")
-    solve = doc["solve"]
-    for key in _REQUIRED_SOLVE:
-        if key not in solve:
-            raise ValueError(f"missing key: solve.{key}")
-    for key in _REQUIRED_LATENCY:
-        if key not in solve["latency_ms"]:
-            raise ValueError(f"missing key: solve.latency_ms.{key}")
-    baseline = doc["baseline"]
-    if baseline is not None:
-        for key in ("revision", "speedup_vs_baseline"):
-            if key not in baseline:
-                raise ValueError(f"missing key: baseline.{key}")
-    if doc["schema"] == SCHEMA_V1:
-        return  # v1 documents predate the service section
-    service = doc.get("service")
-    if not isinstance(service, dict):
-        raise ValueError("missing key: service")
-    for key in _REQUIRED_SERVICE:
-        if key not in service:
-            raise ValueError(f"missing key: service.{key}")
-    points = service["points"]
-    if not isinstance(points, list) or not points:
-        raise ValueError("service.points must be a non-empty list")
-    for i, point in enumerate(points):
-        for key in _REQUIRED_SERVICE_POINT:
-            if key not in point:
-                raise ValueError(f"missing key: service.points[{i}].{key}")
-            if not isinstance(point[key], (int, float)):
-                raise ValueError(
-                    f"service.points[{i}].{key} must be a number")
-    if not isinstance(service["speedup_max_shards"], (int, float)):
-        raise ValueError("service.speedup_max_shards must be a number")
-    if doc["schema"] == SCHEMA_V2:
-        return  # v2 documents predate the online section
-    online = doc.get("online")
-    if not isinstance(online, dict):
-        raise ValueError("missing key: online")
-    for key in _REQUIRED_ONLINE:
-        if key not in online:
-            raise ValueError(f"missing key: online.{key}")
-    for key in ("repair_total_ms", "full_total_ms", "amortized_speedup",
-                "mean_regret", "max_regret", "escalations"):
-        if not isinstance(online[key], (int, float)):
-            raise ValueError(f"online.{key} must be a number")
-    if not isinstance(online["never_worse_than_greedy"], bool):
-        raise ValueError("online.never_worse_than_greedy must be a bool")
-    if not isinstance(online["events"], list) or not online["events"]:
-        raise ValueError("online.events must be a non-empty list")
-    for i, event in enumerate(online["events"]):
-        for key in ("repair_ms", "full_ms", "regret"):
-            if not isinstance(event.get(key), (int, float)):
-                raise ValueError(
-                    f"online.events[{i}].{key} must be a number")
-    if doc["schema"] == SCHEMA_V3:
-        return  # v3 documents predate the evolve section
-    evolve = doc.get("evolve")
-    if not isinstance(evolve, dict):
-        raise ValueError("missing key: evolve")
-    for key in _REQUIRED_EVOLVE:
-        if key not in evolve:
-            raise ValueError(f"missing key: evolve.{key}")
-    for key in ("genetic_never_worse_than_pg", "genetic_beats_anneal",
-                "genetic_beats_hill"):
-        if not isinstance(evolve[key], bool):
-            raise ValueError(f"evolve.{key} must be a bool")
-    solvers = evolve["solvers"]
-    if not isinstance(solvers, list) or "genetic" not in solvers:
-        raise ValueError("evolve.solvers must be a list including 'genetic'")
-    seeds = evolve["seeds"]
-    if not isinstance(seeds, list) or not seeds:
-        raise ValueError("evolve.seeds must be a non-empty list")
-    epoints = evolve["points"]
-    if not isinstance(epoints, list) or not epoints:
-        raise ValueError("evolve.points must be a non-empty list")
-    for i, point in enumerate(epoints):
-        for key in _REQUIRED_EVOLVE_POINT:
-            if key not in point:
-                raise ValueError(f"missing key: evolve.points[{i}].{key}")
-        for key in ("n", "u", "wall_budget_s"):
-            if not isinstance(point[key], (int, float)):
-                raise ValueError(
-                    f"evolve.points[{i}].{key} must be a number")
-        for solver in solvers:
-            vals = point["per_seed"].get(solver)
-            if (not isinstance(vals, list)
-                    or len(vals) != len(seeds)
-                    or not all(isinstance(v, (int, float)) for v in vals)):
-                raise ValueError(
-                    f"evolve.points[{i}].per_seed.{solver} must list one "
-                    f"number per seed")
-            if not isinstance(point["median"].get(solver), (int, float)):
-                raise ValueError(
-                    f"evolve.points[{i}].median.{solver} must be a number")
-    if doc["schema"] == SCHEMA_V4:
-        return  # v4 documents predate the scenarios section
-    scenarios = doc.get("scenarios")
-    if not isinstance(scenarios, dict):
-        raise ValueError("missing key: scenarios")
-    for key in _REQUIRED_SCENARIOS:
-        if key not in scenarios:
-            raise ValueError(f"missing key: scenarios.{key}")
-    ssolvers = scenarios["solvers"]
-    if not isinstance(ssolvers, list) or not ssolvers:
-        raise ValueError("scenarios.solvers must be a non-empty list")
-    spoints = scenarios["points"]
-    if not isinstance(spoints, list) or len(spoints) < 2:
-        raise ValueError(
-            "scenarios.points must list the homogeneous and heterogeneous "
-            "variants")
-    variants = {p.get("variant") for p in spoints}
-    if not {"homogeneous", "heterogeneous"} <= variants:
-        raise ValueError(
-            "scenarios.points must cover the 'homogeneous' and "
-            "'heterogeneous' variants")
-    for i, point in enumerate(spoints):
-        for key in _REQUIRED_SCENARIOS_POINT:
-            if key not in point:
-                raise ValueError(f"missing key: scenarios.points[{i}].{key}")
-        for solver in ssolvers:
-            vals = point["per_seed"].get(solver)
-            if (not isinstance(vals, list)
-                    or len(vals) != len(scenarios["seeds"])
-                    or not all(isinstance(v, (int, float)) for v in vals)):
-                raise ValueError(
-                    f"scenarios.points[{i}].per_seed.{solver} must list "
-                    f"one number per seed")
-            if not isinstance(point["median"].get(solver), (int, float)):
-                raise ValueError(
-                    f"scenarios.points[{i}].median.{solver} must be a "
-                    f"number")
-    for solver in ssolvers:
-        if not isinstance(scenarios["het_vs_homog"].get(solver),
-                          (int, float)):
-            raise ValueError(
-                f"scenarios.het_vs_homog.{solver} must be a number")
+        _check(doc[key], spec, key)
+        if extra is not None:
+            extra(doc[key], key)
 
 
 def write_bench(doc: Dict[str, object], path: str) -> None:
@@ -734,9 +624,9 @@ def trajectory(results_dir: str) -> List[Dict[str, object]]:
     row per document, oldest first.
 
     Rows normalize across schema versions: v1 documents have no
-    ``service`` section, v1/v2 no ``online`` section, v1–v3 no
-    ``evolve`` section, and v1–v4 no ``scenarios`` section, so those
-    columns are ``None`` there.  Unreadable or schema-invalid files are skipped
+    ``service`` section, v1/v2 no ``online`` section, and v1–v4 no
+    ``scenarios`` section, so those columns are ``None`` there.
+    Unreadable or schema-invalid files are skipped
     (same policy as :func:`find_baseline`).  ``cosched bench
     --trajectory`` renders this as the cross-revision table.
     """
@@ -759,14 +649,7 @@ def trajectory(results_dir: str) -> List[Dict[str, object]]:
         micro = doc["micro"]
         service = doc.get("service")
         online = doc.get("online")
-        evolve = doc.get("evolve")
         scenarios = doc.get("scenarios")
-        evolve_vs_hill = None
-        if evolve:
-            # Margin at the largest point: positive = genetic's median
-            # beats hill's at equal wall budget.
-            largest = max(evolve["points"], key=lambda p: p["n"])
-            evolve_vs_hill = largest["genetic_vs"]["hill"]
         rows.append({
             "file": name,
             "revision": doc["revision"],
@@ -789,15 +672,10 @@ def trajectory(results_dir: str) -> List[Dict[str, object]]:
             "online_mean_regret": (
                 online["mean_regret"] if online else None
             ),
-            "evolve_never_worse": (
-                evolve["genetic_never_worse_than_pg"] if evolve else None
-            ),
-            "evolve_vs_hill": evolve_vs_hill,
             # Pre-v5 documents have no scenarios section — column stays
             # blank for them.
             "scenario_het_ratio": (
-                scenarios["het_vs_homog"].get("genetic")
-                if scenarios else None
+                scenarios["het_vs_homog"].get("hill") if scenarios else None
             ),
         })
     rows.sort(key=lambda r: r["created_unix"])
@@ -807,15 +685,11 @@ def trajectory(results_dir: str) -> List[Dict[str, object]]:
 def trajectory_markdown(rows: List[Dict[str, object]]) -> str:
     """Render :func:`trajectory` rows as a GitHub-flavored markdown table."""
     header = ("| revision | schema | backend | smoke | solve p50 (ms) "
-              "| nodes/s | service x | online x | regret | evo≥pg "
-              "| evo Δhill | het/homog |")
-    rule = ("|---|---|---|---|---:|---:|---:|---:|---:|---|---:|---:|")
+              "| nodes/s | service x | online x | regret | het/homog |")
+    rule = "|---|---|---|---|---:|---:|---:|---:|---:|---:|"
 
     def num(v, fmt="{:.2f}"):
         return fmt.format(v) if isinstance(v, (int, float)) else "—"
-
-    def flag(v):
-        return "—" if v is None else ("yes" if v else "NO")
 
     lines = [header, rule]
     for r in rows:
@@ -828,8 +702,6 @@ def trajectory_markdown(rows: List[Dict[str, object]]) -> str:
             f"| {num(r['service_speedup'])} "
             f"| {num(r['online_speedup'])} "
             f"| {num(r['online_mean_regret'], '{:.4f}')} "
-            f"| {flag(r.get('evolve_never_worse'))} "
-            f"| {num(r.get('evolve_vs_hill'), '{:+.5f}')} "
-            f"| {num(r.get('scenario_het_ratio'))} |"
+            f"| {num(r['scenario_het_ratio'])} |"
         )
     return "\n".join(lines)

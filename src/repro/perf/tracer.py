@@ -37,9 +37,6 @@ incumbent      the best-known complete schedule improves (objective)
 budget_stop    a budget limit trips (reason, consumption)
 fallback       a FallbackChain stage hands over to the next solver
 solve_end      the run returns (objective, wall time, optimal, stop reason)
-evo_generation a genetic-solver island finishes a generation (best, mean)
-evo_migration  elites migrate around the island ring (epoch, improved)
-evo_converge   the genetic solver stalls out and stops early (generation)
 svc_enqueue    the solve service admits a request into a priority lane
 svc_coalesce   a request attaches to an in-flight solve (same fingerprint)
 svc_cache_hit  the solution store answers a request without solving
@@ -77,9 +74,6 @@ EVENT_TYPES = (
     "budget_stop",
     "fallback",
     "solve_end",
-    "evo_generation",
-    "evo_migration",
-    "evo_converge",
     "svc_enqueue",
     "svc_coalesce",
     "svc_cache_hit",

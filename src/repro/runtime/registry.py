@@ -99,8 +99,7 @@ class SolverInfo:
         ``stats["warm_start"]`` records the outcome (the base-class
         never-worse guarantee).
     ``supports_workers``
-        The instance exposes a worker-count attribute
-        (``parallel_workers`` or ``workers``) that
+        The instance exposes a ``workers`` attribute that
         :func:`~repro.runtime.session.run_solve` sets for multi-process
         fan-out.
     ``supports_trace``
@@ -339,23 +338,9 @@ def create_solver(spec) -> Solver:
 # ---------------------------------------------------------------------- #
 
 
-def _make_split(**kwargs) -> Solver:
-    # Imported lazily: repro.parallel resolves its sub-solvers through
-    # this registry, so a top-level import would be circular.
-    from ..parallel.split_search import SplitOAStar
-
-    return SplitOAStar(**kwargs)
-
-
-def _make_genetic(**kwargs) -> Solver:
-    # Imported lazily like the parallel solvers: repro.evolve pulls in the
-    # perf shared-memory machinery, which solver-less callers never need.
-    from ..evolve import GeneticSolver
-
-    return GeneticSolver(**kwargs)
-
-
 def _make_portfolio(members=None, **kwargs) -> Solver:
+    # Imported lazily: repro.parallel resolves its members through this
+    # registry, so a top-level import would be circular.
     from ..parallel.portfolio import PortfolioSolver
 
     if members is None:
@@ -372,7 +357,6 @@ register(SolverInfo(
     summary="exact extended A* over the co-scheduling graph (Section III)",
     exact=True,
     budget_currencies=_SEARCH_CURRENCIES,
-    supports_workers=True,
     supports_repair=True,
 ))
 register(SolverInfo(
@@ -384,7 +368,6 @@ register(SolverInfo(
     summary="MER-trimmed A*: near-optimal, orders of magnitude fewer nodes",
     exact=False,
     budget_currencies=_SEARCH_CURRENCIES,
-    supports_workers=True,
     supports_repair=True,
     param_aliases={"mer": "beam_width"},
 ))
@@ -397,7 +380,6 @@ register(SolverInfo(
     summary="the authors' earlier exact Dijkstra search (MASCOTS'14)",
     exact=True,
     budget_currencies=_SEARCH_CURRENCIES,
-    supports_workers=True,
     supports_repair=True,
 ))
 register(SolverInfo(
@@ -450,20 +432,6 @@ register(SolverInfo(
     supports_repair=True,
 ))
 register(SolverInfo(
-    name="genetic",
-    supports_heterogeneous=True,
-    supports_constraints=True,
-    aliases=("ga", "evolve", "memetic"),
-    factory=_make_genetic,
-    summary="population-based memetic search: batched fitness, island "
-            "model, hill-climber-refined elites (see docs/EVOLVE.md)",
-    exact=False,
-    budget_currencies=_SEARCH_CURRENCIES,
-    supports_workers=True,
-    supports_repair=True,
-    param_aliases={"pop": "population"},
-))
-register(SolverInfo(
     name="brute",
     supports_heterogeneous=True,
     supports_constraints=True,
@@ -472,15 +440,6 @@ register(SolverInfo(
     summary="exhaustive partition enumeration (tiny instances only)",
     exact=True,
     budget_currencies=_SEARCH_CURRENCIES,
-))
-register(SolverInfo(
-    name="split",
-    aliases=("split-oastar",),
-    factory=_make_split,
-    summary="exact root-split parallel OA* (paper future work, Sec. VII)",
-    exact=True,
-    budget_currencies=(),
-    supports_workers=True,
 ))
 register(SolverInfo(
     name="fallback",

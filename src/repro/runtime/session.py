@@ -13,9 +13,9 @@ differently:
   tracer is restored on exit, success or failure (the old CLI left its
   tracer attached forever);
 * **worker fan-out** — ``workers > 1`` is applied to solvers that declare
-  ``supports_workers`` (``parallel_workers`` on the A* family, ``workers``
-  on split/portfolio) and silently skipped otherwise, exactly like the
-  old CLI's ``hasattr`` probe but driven by declared capabilities;
+  ``supports_workers`` (the ``workers`` attribute of ``portfolio``) and
+  silently skipped otherwise, exactly like the old CLI's ``hasattr`` probe
+  but driven by declared capabilities;
 * **budget + warm start** — forwarded to ``solve()``, which owns the
   never-worse incumbent guarantee.
 
@@ -128,9 +128,6 @@ def _apply_workers(solver: Solver, workers: int) -> int:
     count (1 when the solver has no knob)."""
     if workers <= 1:
         return 1
-    if hasattr(solver, "parallel_workers"):
-        solver.parallel_workers = workers
-        return workers
     if hasattr(solver, "workers"):
         solver.workers = workers
         return workers
@@ -186,9 +183,7 @@ def run_solve(
     if isinstance(spec, Solver):
         solver = spec
         spec_str = getattr(solver, "name", type(solver).__name__)
-        can_fan_out = hasattr(solver, "parallel_workers") or hasattr(
-            solver, "workers"
-        )
+        can_fan_out = hasattr(solver, "workers")
         declared = getattr(solver, "scenario_capabilities", frozenset())
     else:
         parsed = parse_spec(spec) if isinstance(spec, str) else spec

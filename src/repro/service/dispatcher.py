@@ -506,6 +506,9 @@ class _DispatcherHandler(BaseHTTPRequestHandler):
 
     server: "DispatcherHTTPServer"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate writes; with Nagle on, a
+    # kept-alive connection waits out the peer's delayed ACK on each reply.
+    disable_nagle_algorithm = True
 
     def _drain_body(self) -> None:
         remaining = int(self.headers.get("Content-Length") or 0)

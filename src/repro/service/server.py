@@ -76,6 +76,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "CoschedHTTPServer"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate writes; with Nagle on, a
+    # kept-alive connection waits out the peer's delayed ACK on each reply.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------ #
 

@@ -125,7 +125,6 @@ class AStarSearch(Solver):
         partial_batch: int = 32,
         beam_width: Optional[int] = None,
         max_expansions: Optional[int] = None,
-        parallel_workers: Optional[int] = None,
     ):
         if h_strategy not in (0, 1, 2):
             raise ValueError("h_strategy must be 0, 1 or 2")
@@ -149,11 +148,6 @@ class AStarSearch(Solver):
             raise ValueError("beam_width must be >= 1")
         self.beam_width = beam_width
         self.max_expansions = max_expansions
-        if parallel_workers is not None and parallel_workers < 1:
-            raise ValueError("parallel_workers must be >= 1")
-        #: Opt-in multiprocessing level scoring (HA*'s MER levels at scale);
-        #: None/1 keeps everything in-process.
-        self.parallel_workers = parallel_workers
 
     # ------------------------------------------------------------------ #
 
@@ -180,7 +174,6 @@ class AStarSearch(Solver):
             problem,
             condense_pe=self.condense_pe,
             condense_pc=self.condense,
-            parallel_workers=self.parallel_workers,
         )
         estimator: Optional[HeuristicEstimator] = None
         if self.h_strategy in (1, 2):
@@ -485,112 +478,109 @@ class AStarSearch(Solver):
             return h
 
         anytime_schedule: Optional[CoSchedule] = None
-        try:
-            with perf.phase("search"):
-                if self.beam_width is not None:
-                    goal, expanded, stopped, anytime_rec = self._beam_search(
-                        root, gen, make_child, child_h, node_limit, counters,
-                        budget,
-                    )
-                else:
-                    # Best-first A* over the whole graph.
-                    while heap:
-                        _f, _tie, rec = heapq.heappop(heap)
-                        perf.incr("heap_pops")
-                        if not rec.alive:
-                            continue
-                        if not rec.unscheduled:
-                            goal = rec
-                            if tracer is not None:
-                                tracer.emit(
-                                    "incumbent", solver=self.name,
-                                    objective=goal.g, expanded=expanded,
-                                )
-                            break
-                        if budget.exhausted() is not None:
-                            # Anytime stop: the just-popped record is the
-                            # most promising live subpath — finish it
-                            # greedily below instead of searching on.
-                            stopped = budget.stop_reason
-                            anytime_rec = rec
-                            break
-                        expanded += 1
-                        budget.charge()
-                        if (
-                            self.max_expansions is not None
-                            and expanded > self.max_expansions
-                        ):
-                            raise RuntimeError(
-                                f"{self.name}: exceeded "
-                                f"max_expansions={self.max_expansions}"
-                            )
+        with perf.phase("search"):
+            if self.beam_width is not None:
+                goal, expanded, stopped, anytime_rec = self._beam_search(
+                    root, gen, make_child, child_h, node_limit, counters,
+                    budget,
+                )
+            else:
+                # Best-first A* over the whole graph.
+                while heap:
+                    _f, _tie, rec = heapq.heappop(heap)
+                    perf.incr("heap_pops")
+                    if not rec.alive:
+                        continue
+                    if not rec.unscheduled:
+                        goal = rec
                         if tracer is not None:
-                            depth = (n - len(rec.unscheduled)) // u
-                            if depth > max_depth:
-                                max_depth = depth
-                                tracer.emit(
-                                    "level", solver=self.name, depth=depth,
-                                    expanded=expanded,
-                                )
                             tracer.emit(
-                                "expand", solver=self.name, depth=depth,
-                                g=rec.g, f=_f, expanded=expanded,
+                                "incumbent", solver=self.name,
+                                objective=goal.g, expanded=expanded,
                             )
-                            dismissed_before = counters["dismissed"]
-
-                        if partial:
-                            if rec.stream is None:
-                                rec.stream = gen.successors_stream(
-                                    rec.unscheduled
-                                )
-                                rec.pending = next(rec.stream, None)
-                                rec.h_tail = estimator.h_tail(rec.unscheduled)
-                            batch_nodes = []
-                            while (
-                                rec.pending is not None
-                                and len(batch_nodes) < self.partial_batch
-                            ):
-                                batch_nodes.append(rec.pending)
-                                rec.pending = next(rec.stream, None)
-                            if rec.pending is not None:
-                                resumes += 1
-                                f_resume = rec.g + rec.pending[1] + rec.h_tail
-                                heapq.heappush(
-                                    heap, (f_resume, next(counter), rec)
-                                )
-                            successor_nodes = batch_nodes
-                        else:
-                            successor_nodes = gen.successors(
-                                rec.unscheduled, limit=node_limit
+                        break
+                    if budget.exhausted() is not None:
+                        # Anytime stop: the just-popped record is the
+                        # most promising live subpath — finish it
+                        # greedily below instead of searching on.
+                        stopped = budget.stop_reason
+                        anytime_rec = rec
+                        break
+                    expanded += 1
+                    budget.charge()
+                    if (
+                        self.max_expansions is not None
+                        and expanded > self.max_expansions
+                    ):
+                        raise RuntimeError(
+                            f"{self.name}: exceeded "
+                            f"max_expansions={self.max_expansions}"
+                        )
+                    if tracer is not None:
+                        depth = (n - len(rec.unscheduled)) // u
+                        if depth > max_depth:
+                            max_depth = depth
+                            tracer.emit(
+                                "level", solver=self.name, depth=depth,
+                                expanded=expanded,
                             )
+                        tracer.emit(
+                            "expand", solver=self.name, depth=depth,
+                            g=rec.g, f=_f, expanded=expanded,
+                        )
+                        dismissed_before = counters["dismissed"]
 
-                        for node, node_w in successor_nodes:
-                            cand = make_child(rec, node, node_w)
-                            if cand is None:
-                                continue
+                    if partial:
+                        if rec.stream is None:
+                            rec.stream = gen.successors_stream(
+                                rec.unscheduled
+                            )
+                            rec.pending = next(rec.stream, None)
+                            rec.h_tail = estimator.h_tail(rec.unscheduled)
+                        batch_nodes = []
+                        while (
+                            rec.pending is not None
+                            and len(batch_nodes) < self.partial_batch
+                        ):
+                            batch_nodes.append(rec.pending)
+                            rec.pending = next(rec.stream, None)
+                        if rec.pending is not None:
+                            resumes += 1
+                            f_resume = rec.g + rec.pending[1] + rec.h_tail
                             heapq.heappush(
-                                heap,
-                                (cand.g + child_h(cand), next(counter), cand),
+                                heap, (f_resume, next(counter), rec)
                             )
-                            counters["pushed"] += 1
-                        if tracer is not None:
-                            newly = counters["dismissed"] - dismissed_before
-                            if newly:
-                                tracer.emit(
-                                    "dismiss", solver=self.name,
-                                    count=newly, expanded=expanded,
-                                )
-            if goal is None and anytime_rec is not None:
-                # Budget exhausted mid-search: finish the best partial path
-                # by repeatedly taking the cheapest valid node.  Greedy, so
-                # never better than the optimum — but always a *valid*
-                # schedule, which is the anytime contract.
-                with perf.phase("budget_completion"):
-                    anytime_schedule = self._greedy_complete(
-                        problem, gen, anytime_rec
-                    )
-        finally:
-            gen.close()
+                        successor_nodes = batch_nodes
+                    else:
+                        successor_nodes = gen.successors(
+                            rec.unscheduled, limit=node_limit
+                        )
+
+                    for node, node_w in successor_nodes:
+                        cand = make_child(rec, node, node_w)
+                        if cand is None:
+                            continue
+                        heapq.heappush(
+                            heap,
+                            (cand.g + child_h(cand), next(counter), cand),
+                        )
+                        counters["pushed"] += 1
+                    if tracer is not None:
+                        newly = counters["dismissed"] - dismissed_before
+                        if newly:
+                            tracer.emit(
+                                "dismiss", solver=self.name,
+                                count=newly, expanded=expanded,
+                            )
+        if goal is None and anytime_rec is not None:
+            # Budget exhausted mid-search: finish the best partial path
+            # by repeatedly taking the cheapest valid node.  Greedy, so
+            # never better than the optimum — but always a *valid*
+            # schedule, which is the anytime contract.
+            with perf.phase("budget_completion"):
+                anytime_schedule = self._greedy_complete(
+                    problem, gen, anytime_rec
+                )
         perf.incr("heap_pushes", counters["pushed"] + resumes)
         pushed = counters["pushed"]
         dismissed = counters["dismissed"]

@@ -22,12 +22,6 @@ class HAStar(AStarSearch):
 
     ``beam_factor`` scales the per-level node budget relative to ``n/u``
     (1.0 = the paper's rule; larger explores more, approaching OA*).
-
-    ``parallel_workers`` opts the per-level MER scoring into a process pool
-    (see :class:`~repro.perf.ParallelLevelScorer`): each expansion level's
-    candidate nodes are chunked over the workers and scored with the
-    vectorized batch kernel, which only pays off on big eagerly-enumerated
-    levels.
     """
 
     def __init__(
@@ -42,7 +36,6 @@ class HAStar(AStarSearch):
         process_floor: bool = True,
         beam_width: Optional[int] = None,
         max_expansions: Optional[int] = None,
-        parallel_workers: Optional[int] = None,
         name: Optional[str] = None,
     ):
         if beam_factor <= 0:
@@ -59,5 +52,4 @@ class HAStar(AStarSearch):
             process_floor=process_floor,
             beam_width=beam_width,
             max_expansions=max_expansions,
-            parallel_workers=parallel_workers,
         )

@@ -13,9 +13,8 @@ surviving machine groups through the ``stale_partial`` attribute (new-pid
 tuples, at most ``u`` members each — see
 :func:`repro.online.delta.partial_from_base`); full groups are kept
 verbatim, the rest of the processes form a reduced sub-problem solved by
-the ``base`` spec through the same
-:class:`~repro.parallel.split_search.RestrictedModel` adapter the
-root-split search uses, warm-started from the incomplete fragments.
+the ``base`` spec through the :class:`RestrictedModel` adapter,
+warm-started from the incomplete fragments.
 
 Two guard rails hold on every call:
 
@@ -33,6 +32,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from ..core.degradation import CacheDegradationModel
 from ..core.jobs import JobKind, Workload, serial_job
 from ..core.objective import evaluate_schedule
 from ..core.problem import CoSchedulingProblem
@@ -40,7 +40,40 @@ from ..core.schedule import CoSchedule
 from .base import Solver, SolveResult
 from .greedy import PolitenessGreedy
 
-__all__ = ["RepairSolver"]
+__all__ = ["RepairSolver", "RestrictedModel"]
+
+
+class RestrictedModel(CacheDegradationModel):
+    """View of a degradation model over a subset of the original pids.
+
+    The reduced sub-problem relabels the surviving pids densely; this
+    adapter maps them back so degradations (and floors) are evaluated
+    against the original model without copying profile data.
+    """
+
+    def __init__(self, base: CacheDegradationModel, pid_map: Tuple[int, ...]):
+        self.base = base
+        self.pid_map = pid_map  # reduced pid -> original pid
+
+    def cache_degradation(self, pid, coset):
+        orig = frozenset(self.pid_map[q] for q in coset)
+        return self.base.cache_degradation(self.pid_map[pid], orig)
+
+    def single_time(self, pid):
+        return self.base.single_time(self.pid_map[pid])
+
+    def min_degradation(self, pid, universe, k):
+        orig_universe = [self.pid_map[q] for q in universe]
+        return self.base.min_degradation(self.pid_map[pid], orig_universe, k)
+
+    def is_member_monotone(self):
+        return self.base.is_member_monotone()
+
+    def pressure(self, pid):
+        return self.base.pressure(self.pid_map[pid])
+
+    def interchangeable_key(self, pid):
+        return self.base.interchangeable_key(self.pid_map[pid])
 
 
 def _complete_groups(fragments: Sequence[Sequence[int]],
@@ -191,7 +224,6 @@ class RepairSolver(Solver):
                 usable: List[Tuple[int, ...]],
                 ) -> Tuple[CoSchedule, float]:
         """Keep ``clean`` machines, re-solve the rest as a sub-problem."""
-        from ..parallel.split_search import RestrictedModel
         from ..runtime import create_solver
 
         n, u = problem.n, problem.u

@@ -189,23 +189,6 @@ class TestBatchScoredSuccessors:
             assert w == pytest.approx(problem.node_weight(node), abs=1e-12)
         assert len(out) == math.comb(11, 3)
 
-    def test_parallel_pool_successors_identical(self):
-        problem = pressure_problem(16)  # multiple of u: batch-capable
-        unscheduled = tuple(range(16))
-        reference = SuccessorGenerator(problem).successors(unscheduled)
-        problem.clear_caches()
-        gen = SuccessorGenerator(problem, parallel_workers=2,
-                                 parallel_threshold=8, parallel_chunk=64)
-        try:
-            pooled = gen.successors(unscheduled)
-        finally:
-            gen.close()
-        assert [nd for nd, _ in pooled] == [nd for nd, _ in reference]
-        ref_w = [w for _, w in reference]
-        pool_w = [w for _, w in pooled]
-        assert pool_w == pytest.approx(ref_w, abs=1e-12)
-        assert problem.counters.batch_stats("parallel_level_score")["batches"] >= 1
-
     def test_presorted_levels_batch_matches(self):
         # MatrixDegradationModel without pressure-free path -> presorted
         # levels, now scored through the batch kernel.

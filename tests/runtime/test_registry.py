@@ -117,10 +117,7 @@ class TestParity:
     @pytest.mark.parametrize("name", sorted(REGISTRY))
     def test_worker_capability_matches_knob(self, name):
         solver = create_solver(name)
-        has_knob = hasattr(solver, "parallel_workers") or hasattr(
-            solver, "workers"
-        )
-        assert get_info(name).supports_workers == has_knob
+        assert get_info(name).supports_workers == hasattr(solver, "workers")
 
     @pytest.mark.parametrize("name", sorted(REGISTRY))
     def test_scenario_capability(self, name):

@@ -55,8 +55,10 @@ class TestRunSolve:
         assert "warm_start" in report.result.stats
 
     def test_workers_applied_only_when_supported(self, problem):
-        assert run_solve(problem, "oastar", workers=2).workers == 2
-        # PG has no worker knob: silently serial.
+        assert run_solve(problem, "portfolio?members=pg,hill",
+                         workers=2).workers == 2
+        # OA* and PG have no worker knob: silently serial.
+        assert run_solve(problem, "oastar", workers=2).workers == 1
         assert run_solve(problem, "pg", workers=4).workers == 1
 
 

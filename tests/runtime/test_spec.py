@@ -86,8 +86,18 @@ class TestErrors:
             create_solver("hastar?no_such_kwarg=1")
         assert exc.value.reason == "bad_param"
         with pytest.raises(SpecError) as exc:
-            create_solver("split?workers=0")
+            create_solver("portfolio?workers=0")
         assert exc.value.reason == "bad_param"
+
+    @pytest.mark.parametrize("name", ["genetic", "split"])
+    def test_removed_solvers_are_unknown(self, name, capsys):
+        with pytest.raises(SpecError) as exc:
+            create_solver(name)
+        assert exc.value.reason == "unknown_solver"
+        from repro.cli import main
+
+        assert main(["solve", "--solver", name, "BT", "CG"]) == 2
+        assert "unknown_solver" in capsys.readouterr().err
 
     def test_empty_composite_list(self):
         with pytest.raises(SpecError) as exc:

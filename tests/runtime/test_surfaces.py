@@ -48,7 +48,7 @@ class TestSolverSetParity:
         # The old drift: `submit --solver osvp` failed while `solve` worked
         # (and vice versa for anneal).  Both resolve via one registry now.
         problem = make_problem()
-        for spec in ("osvp", "anneal", "genetic?generations=4", SPEC):
+        for spec in ("osvp", "anneal", "hill?seed=1", SPEC):
             run_solve(make_problem(), spec)
             with SolveService(workers=1) as svc:
                 ticket = svc.submit(problem, solver=spec)

@@ -2,6 +2,7 @@
 shed-to-heuristic correctness, dead-shard recovery, and the HTTP
 frontend."""
 
+import http.client
 import json
 import threading
 import time
@@ -280,5 +281,28 @@ class TestDispatcherHTTP:
                 urllib.request.urlopen(req, timeout=10)
             assert err.value.code == 400
         finally:
+            server.shutdown()
+            svc.stop()
+
+    def test_keepalive_replies_do_not_wait_on_delayed_acks(self):
+        # Headers and body leave in separate writes; with Nagle's algorithm
+        # on, each reply on a kept-alive connection stalls ~40 ms for the
+        # client's delayed ACK.
+        svc = ShardedService(shards=1, default_solver="pg")
+        server = start_dispatcher_server(svc)
+        host, _, port = server.url[len("http://"):].rpartition(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            conn.request("GET", "/health")  # warm the connection
+            conn.getresponse().read()
+            t0 = time.perf_counter()
+            for _ in range(10):
+                conn.request("GET", "/health")
+                resp = conn.getresponse()
+                assert resp.status == 200
+                resp.read()
+            assert time.perf_counter() - t0 < 0.2
+        finally:
+            conn.close()
             server.shutdown()
             svc.stop()

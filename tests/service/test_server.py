@@ -221,3 +221,23 @@ def test_draining_service_replies_503_with_retry_after():
     finally:
         server.shutdown()
         service.stop()
+
+
+def test_keepalive_replies_do_not_wait_on_delayed_acks(service_and_url):
+    # Same guard as the dispatcher's: no ~40 ms Nagle stall per reply on
+    # a kept-alive connection.
+    _, url = service_and_url
+    host, _, port = url[len("http://"):].rpartition(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=10)
+    try:
+        conn.request("GET", "/metrics")  # warm the connection
+        conn.getresponse().read()
+        t0 = time.perf_counter()
+        for _ in range(10):
+            conn.request("GET", "/metrics")
+            resp = conn.getresponse()
+            assert resp.status == 200
+            resp.read()
+        assert time.perf_counter() - t0 < 0.2
+    finally:
+        conn.close()

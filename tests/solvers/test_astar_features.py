@@ -166,19 +166,3 @@ class TestBatchAndParallelScoring:
         # Batch kernels actually ran with multi-node batches.
         batches = prof["batches"]
         assert any(s["max_size"] > 1 for s in batches.values())
-
-    def test_parallel_workers_match_serial_result(self):
-        problem = random_serial_instance(16, cluster="quad", seed=22,
-                                         saturation=0.9)
-        from repro.solvers import HAStar
-
-        base = HAStar().solve(problem)
-        problem.clear_caches()
-        # Tiny threshold forces the pool path even at this test scale.
-        solver = HAStar(parallel_workers=2)
-        result = solver.solve(problem)
-        assert result.objective == pytest.approx(base.objective)
-
-    def test_parallel_workers_validation(self):
-        with pytest.raises(ValueError):
-            AStarSearch(parallel_workers=0)

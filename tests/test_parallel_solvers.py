@@ -1,57 +1,13 @@
-"""Tests for the parallel-solving extensions (portfolio and root-split)."""
+"""Tests for the parallel-solving extension (the solver portfolio)."""
 
 import pytest
 
-from repro.parallel import PortfolioSolver, SplitOAStar
-from repro.solvers import HAStar, OAStar, PolitenessGreedy
+from repro.parallel import PortfolioSolver
+from repro.solvers import HAStar, PolitenessGreedy
 from repro.workloads.synthetic import (
     random_interaction_instance,
-    random_mixed_instance,
     random_serial_instance,
 )
-
-
-class TestSplitOAStar:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_sequential_optimum(self, seed):
-        problem = random_serial_instance(8, cluster="quad", seed=seed)
-        seq = OAStar().solve(problem)
-        problem.clear_caches()
-        split = SplitOAStar(workers=1).solve(problem)
-        assert split.objective == pytest.approx(seq.objective, abs=1e-9)
-        assert split.optimal
-
-    def test_matches_on_interaction_model(self):
-        problem = random_interaction_instance(8, cluster="quad", seed=5)
-        seq = OAStar().solve(problem)
-        problem.clear_caches()
-        split = SplitOAStar(workers=1).solve(problem)
-        assert split.objective == pytest.approx(seq.objective, abs=1e-9)
-
-    def test_multiprocess_workers(self):
-        problem = random_serial_instance(8, cluster="quad", seed=3)
-        seq = OAStar().solve(problem)
-        problem.clear_caches()
-        split = SplitOAStar(workers=2).solve(problem)
-        assert split.objective == pytest.approx(seq.objective, abs=1e-9)
-
-    def test_rejects_parallel_jobs(self):
-        problem = random_mixed_instance(4, pe_shapes=(2,), cluster="dual",
-                                        seed=0)
-        with pytest.raises(ValueError, match="serial"):
-            SplitOAStar().solve(problem)
-
-    def test_rejects_bad_workers(self):
-        with pytest.raises(ValueError):
-            SplitOAStar(workers=0)
-
-    def test_dual_core_split(self):
-        problem = random_serial_instance(10, cluster="dual", seed=4)
-        seq = OAStar().solve(problem)
-        problem.clear_caches()
-        split = SplitOAStar(workers=1, chunk=3).solve(problem)
-        assert split.objective == pytest.approx(seq.objective, abs=1e-9)
-        assert split.stats["roots"] == 9
 
 
 class TestPortfolio:

@@ -230,7 +230,7 @@ def solver_class_names():
         if isinstance(getattr(solvers, name), type)
         and issubclass(getattr(solvers, name), Solver)
     }
-    return names | {"SplitOAStar", "PortfolioSolver", "GeneticSolver"}
+    return names | {"PortfolioSolver"}
 
 
 class TestSolverConstructionBoundary:
@@ -241,17 +241,16 @@ class TestSolverConstructionBoundary:
     ``solvers.OAStar(...)`` alike, without false positives on docs or
     comments."""
 
-    ALLOWED = ("runtime", "solvers", "parallel", "evolve")
+    ALLOWED = ("runtime", "solvers", "parallel")
 
     def test_no_direct_solver_construction_outside_runtime(self):
         banned = solver_class_names()
         offenders = []
         for path in sorted(SRC.rglob("*.py")):
             rel = path.relative_to(SRC)
-            # repro/parallel defines SplitOAStar/PortfolioSolver and
-            # repro/evolve defines GeneticSolver (built by the registry's
-            # factories, memetic refinement builds its own climbers);
-            # everything they run externally resolves through create_solver.
+            # repro/parallel defines PortfolioSolver (built by the
+            # registry's factory); the members it runs resolve through
+            # create_solver.
             if rel.parts[0] in self.ALLOWED:
                 continue
             tree = ast.parse(path.read_text())

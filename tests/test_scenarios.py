@@ -216,7 +216,7 @@ class TestScenarioProblem:
 
 
 EXACT = ("brute", "oastar", "osvp")
-HEURISTIC = ("hastar", "pg", "hill", "anneal", "genetic")
+HEURISTIC = ("hastar", "pg", "hill", "anneal")
 
 
 class TestScenarioSolvers:
