@@ -14,7 +14,10 @@ its successors are the nodes ``{level_pid} ∪ (u-1 unscheduled others)``.
   content and identical per-PC-job communication properties are collapsed to
   one representative;
 * **lazy monotone enumeration** — for member-wise monotone models at scale,
-  successors stream in ascending weight without materializing the level.
+  successors stream in ascending weight without materializing the level;
+* **MER window** — for HA*'s trim on member-monotone models, a small
+  candidate set provably holding the ``limit`` lightest nodes is scored in
+  one kernel call (see :func:`_mer_window`).
 
 :class:`HeuristicEstimator` implements the paper's two h(v) strategies
 (Section III-D) over precomputed per-level minimum weights, in several
@@ -23,6 +26,7 @@ rigor modes (see :meth:`HeuristicEstimator.__init__`).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -78,6 +82,66 @@ def _iter_group_combinations(
     yield from rec(0, k)
 
 
+#: Largest MER window (rows per kernel call) the trim scores at once;
+#: larger windows keep the lazy heap.  Measured by
+#: ``benchmarks/test_mer_window_crossover.py`` (root state, best of 7, C
+#: kernels, 2-vCPU x86 host): on eight-core levels (k=7) the window beats
+#: the heap 1.35x at 5.0k rows, 1.2x at 6.0k and loses at 8.6k; quad-core
+#: rows (k=3) are cheaper, 3.2x at 6.8k and even at ~44k.  The cap takes
+#: the smaller crossover and bounds each cached table to a few hundred KB.
+MER_WINDOW_MAX_ROWS = 6_000
+
+
+@functools.lru_cache(maxsize=128)
+def _mer_window(
+    limit: int, k: int, width: int, max_rows: int
+) -> Optional[np.ndarray]:
+    """Rank-index tuples that can be among a level's ``limit`` lightest.
+
+    Returns the ``k``-tuples ``i_0 < … < i_{k-1} < width`` with
+    ``Σ_j (i_j − j) ≤ limit − 1`` as a read-only ``(rows, k)`` array in
+    lexicographic order, or None when there are more than ``max_rows``.
+
+    Why nothing else can qualify: a tuple with ``Σ_j (i_j − j) = e``
+    lies at the end of a chain of ``e`` single-index decrements from
+    ``(0, …, k-1)``, so ``e`` distinct tuples sit componentwise below
+    it.  For a member-monotone weight over items in ascending rank none
+    of them weighs more, and each is lexicographically smaller, so all
+    ``e`` precede it in ``(weight, index-tuple)`` order; ``e ≥ limit``
+    rules it out.  Every index is then at most ``limit + k − 2``: only
+    the first ``limit + k − 1`` items in rank order are ever needed.
+
+    Built directly by a recursion over the per-index excesses
+    ``d_j = i_j − j`` (non-decreasing, so choosing ``d_j`` commits at
+    least ``d_j`` to every later index), never by filtering all
+    ``C(width, k)`` tuples.
+    """
+    top = width - k  # largest excess any one index may have
+    rows: List[Tuple[int, ...]] = []
+    prefix: List[int] = []
+
+    def rec(j: int, lo: int, budget: int) -> bool:
+        if j == k:
+            rows.append(tuple(prefix))
+            return len(rows) <= max_rows
+        left = k - j
+        d = lo
+        while d <= top and d * left <= budget:
+            prefix.append(d + j)
+            ok = rec(j + 1, d, budget - d)
+            prefix.pop()
+            if not ok:
+                return False
+            d += 1
+        return True
+
+    if not rec(0, 0, limit - 1):
+        return None
+    table = np.asarray(rows, dtype=np.intp).reshape(-1, k)
+    table.setflags(write=False)
+    return table
+
+
 class SuccessorGenerator:
     """Enumerates the valid successor nodes of a search state."""
 
@@ -103,6 +167,13 @@ class SuccessorGenerator:
         self._has_parallel = any(k is not JobKind.SERIAL for k in self._kind)
         self._monotone_ok = (
             problem.model.is_member_monotone() and not self._has_parallel
+        )
+        # Every pid in (pressure, pid) order — the heap enumerator's rank
+        # order, computed once instead of once per MER-window expansion.
+        self._rank_order: List[int] = (
+            sorted(range(problem.n), key=problem.model.pressure)
+            if self._monotone_ok and problem.model.supports_batch()
+            else []
         )
         # Proxy streaming: the model exposes a pressure rank key and a fast
         # node weight but is NOT member-monotone — lazy enumeration is then
@@ -357,11 +428,21 @@ class SuccessorGenerator:
         """First ``limit`` successors in ascending weight, without
         materializing the level.
 
-        For member-monotone models the heap enumeration is exactly sorted;
-        for proxy models (``_proxy_ok``) the stream is only approximately
-        sorted, so we oversample 4x and keep the ``limit`` lowest true
-        weights — the documented approximation HA* uses at scale.
+        For member-monotone models with a batch kernel the MER window
+        (:func:`_mer_window`) is scored in one call, unless it exceeds
+        ``MER_WINDOW_MAX_ROWS``; otherwise the heap enumeration is exactly
+        sorted.  For proxy models (``_proxy_ok``) the stream is only
+        approximately sorted, so we oversample 4x and keep the ``limit``
+        lowest true weights — the documented approximation HA* uses at
+        scale.
         """
+        if self._rank_order:
+            width = min(len(rest), limit + k - 1)
+            table = _mer_window(limit, k, width, MER_WINDOW_MAX_ROWS)
+            if table is not None:
+                return self._successors_window(
+                    level_pid, rest, table, width, limit
+                )
         model = self.problem.model
         if callable(getattr(model, "node_weight_fast", None)):
             def weight(sub: Tuple[int, ...]) -> float:
@@ -379,6 +460,37 @@ class SuccessorGenerator:
                 break
         if not self._monotone_ok and len(out) > limit:
             out = heapq.nsmallest(limit, out, key=lambda t: (t[1], t[0]))
+        self.stats["generated"] += len(out)
+        return out
+
+    def _successors_window(
+        self, level_pid: int, rest: Tuple[int, ...], table: np.ndarray,
+        width: int, limit: int,
+    ) -> List[Tuple[Tuple[int, ...], float]]:
+        """The heap's first ``limit`` successors, from one kernel call.
+
+        Rows are laid out exactly as the heap scores them (level pid, then
+        the subset in rank order) and ``table`` is in lexicographic order,
+        so the stable selection's position tie-break IS the heap's
+        ``(weight, index-tuple)`` order: same nodes, order and weights.
+        """
+        unsched = set(rest)
+        ranked = np.fromiter(
+            itertools.islice(
+                (pid for pid in self._rank_order if pid in unsched), width
+            ),
+            dtype=np.intp, count=width,
+        )
+        rows = np.empty((len(table), table.shape[1] + 1), dtype=np.intp)
+        rows[:, 0] = level_pid
+        rows[:, 1:] = ranked[table]
+        self.problem.counters.observe_batch("mer_window", len(rows))
+        weights = self.problem.model.node_weights_batch(rows)
+        sel = _kernels.select_smallest(weights, limit)
+        out = [
+            (tuple(sorted(row)), w)
+            for row, w in zip(rows[sel].tolist(), weights[sel].tolist())
+        ]
         self.stats["generated"] += len(out)
         return out
 

@@ -5,15 +5,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core.degradation import MatrixDegradationModel, MissRatePressureModel
 from repro.core.jobs import Workload, pe_job, serial_job
-from repro.core.machine import DUAL_CORE_CLUSTER, QUAD_CORE_CLUSTER
+from repro.core.machine import (
+    DUAL_CORE_CLUSTER,
+    EIGHT_CORE_CLUSTER,
+    QUAD_CORE_CLUSTER,
+)
 from repro.core.objective import evaluate_schedule
 from repro.core.problem import CoSchedulingProblem
 from repro.core.schedule import CoSchedule
+from repro.graph import levels
 from repro.graph.levels import HeuristicEstimator, SuccessorGenerator
+from repro.graph.subset_enum import iter_subsets_monotone
+from repro.solvers import HAStar
 
 
 def pressure_problem(n, cluster=QUAD_CORE_CLUSTER, seed=0, saturation=None):
@@ -202,3 +208,103 @@ class TestBatchScoredSuccessors:
         assert weights == sorted(weights)
         for node, w in out:
             assert w == pytest.approx(problem.node_weight(node), abs=1e-12)
+
+
+def heap_first(problem, unscheduled, limit):
+    """The first ``limit`` items of the lazy heap enumeration, as nodes."""
+    model = problem.model
+    level_pid, rest = unscheduled[0], unscheduled[1:]
+
+    def weight_batch(subs):
+        return model.node_weights_batch([(level_pid,) + s for s in subs])
+
+    stream = iter_subsets_monotone(
+        rest, problem.u - 1,
+        lambda s: model.node_weight_fast((level_pid,) + s),
+        model.pressure, weight_batch=weight_batch,
+    )
+    return [
+        (tuple(sorted((level_pid,) + sub)), w)
+        for sub, w in itertools.islice(stream, limit)
+    ]
+
+
+def window_batches(problem):
+    return problem.counters.batch_stats("mer_window")["batches"]
+
+
+class TestMerWindow:
+    @pytest.mark.parametrize("limit, k, size", [(16, 3, 174), (16, 7, 564)])
+    def test_table_is_the_budgeted_tuples_in_lex_order(self, limit, k, size):
+        width = limit + k - 1
+        table = levels._mer_window(limit, k, width, 10**6)
+        brute = [
+            c for c in itertools.combinations(range(width), k)
+            if sum(i - j for j, i in enumerate(c)) <= limit - 1
+        ]
+        assert [tuple(r) for r in table.tolist()] == brute
+        assert len(table) == size
+        assert levels._mer_window(limit, k, width, size - 1) is None
+
+    @pytest.mark.parametrize("cluster, n", [
+        (QUAD_CORE_CLUSTER, 32),
+        (QUAD_CORE_CLUSTER, 30),   # padded: two zero-rate processes tie
+        (EIGHT_CORE_CLUSTER, 48),
+        (EIGHT_CORE_CLUSTER, 45),  # padded: three zero-rate processes tie
+    ])
+    @pytest.mark.parametrize("saturation", [None, 4.0])
+    def test_window_equals_heap_prefix(self, cluster, n, saturation):
+        problem = pressure_problem(n, cluster=cluster, seed=11,
+                                   saturation=saturation)
+        u = problem.u
+        n_pad = problem.n
+        gen = SuccessorGenerator(problem, lazy_threshold=1)
+        rng = np.random.default_rng(5)
+        states = [tuple(range(n_pad))]
+        for drop in (u, 2 * u, 3 * u):
+            gone = rng.choice(n_pad, size=drop, replace=False)
+            states.append(tuple(p for p in range(n_pad) if p not in gone))
+        checked = 0
+        for state in states:
+            for limit in (1, 2, n_pad // u, 3 * n_pad // u):
+                if math.comb(len(state) - 1, u - 1) <= 4 * limit:
+                    continue  # dispatches to the eager path, not the trim
+                before = (window_batches(problem), gen.stats["generated"])
+                got = gen.successors(state, limit=limit)
+                assert window_batches(problem) == before[0] + 1
+                assert gen.stats["generated"] == before[1] + limit
+                # Same nodes, same order, bit-identical weights.
+                assert got == heap_first(problem, state, limit)
+                checked += 1
+        assert checked >= 8
+
+    def test_over_the_row_cap_takes_the_heap(self, monkeypatch):
+        problem = pressure_problem(32, seed=2, saturation=4.0)
+        state = tuple(range(32))
+        monkeypatch.setattr(levels, "MER_WINDOW_MAX_ROWS", 100)  # 174 needed
+        gen = SuccessorGenerator(problem)
+        got = gen.successors(state, limit=16)
+        assert window_batches(problem) == 0
+        assert problem.counters.batch_stats("lazy_frontier")["batches"] > 0
+        assert got == heap_first(problem, state, 16)
+        # Within the cap the window answers, identically.
+        monkeypatch.setattr(levels, "MER_WINDOW_MAX_ROWS", 174)
+        assert SuccessorGenerator(problem).successors(state, limit=16) == got
+        assert window_batches(problem) == 1
+
+    def test_hastar_unchanged_without_the_window(self, monkeypatch):
+        from repro.workloads import random_serial_instance
+
+        def solve():
+            problem = random_serial_instance(40, "quad", seed=4,
+                                             saturation=4.0)
+            return problem, HAStar().solve(problem)
+
+        p_win, win = solve()
+        monkeypatch.setattr(levels, "MER_WINDOW_MAX_ROWS", 0)
+        p_heap, heap = solve()
+        assert window_batches(p_win) > 0 and window_batches(p_heap) == 0
+        assert win.schedule.groups == heap.schedule.groups
+        assert win.objective == heap.objective
+        for key in ("expanded", "nodes_generated", "dismissed"):
+            assert win.stats[key] == heap.stats[key], key
