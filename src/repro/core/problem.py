@@ -273,13 +273,46 @@ class CoSchedulingProblem:
         for c in self.constraints:
             p = c.penalty(k, key[1])
             if p < 0:
-                raise ValueError(
-                    f"constraint {type(c).__name__} returned a negative "
-                    f"penalty {p} for machine {k}"
-                )
+                raise _negative_penalty(c, k, p)
             w += p
         self._machine_node_cache[key] = w
         return w
+
+    def machine_node_weights_batch(
+        self, k: int, nodes: Sequence[Tuple[int, ...]]
+    ) -> np.ndarray:
+        """:meth:`machine_node_weight` for many groups on machine ``k``.
+
+        Reads and fills the same memo.  When :meth:`supports_batch_weights`
+        holds, the misses are scored by one :meth:`node_weights_batch` call,
+        scaled by ``machine_scale[k]`` and charged every constraint's
+        penalty; otherwise each row takes the scalar path.  ``nodes`` rows
+        must be sorted pid tuples, as for :meth:`node_weights_batch`.
+        """
+        if not self.supports_batch_weights():
+            return np.fromiter(
+                (self.machine_node_weight(k, node) for node in nodes),
+                dtype=float, count=len(nodes),
+            )
+        cache = self._machine_node_cache
+        vals = [cache.get((k, node)) for node in nodes]
+        miss_idx = [r for r, v in enumerate(vals) if v is None]
+        if not miss_idx:
+            return np.array(vals, dtype=float)
+        miss_rows = [nodes[r] for r in miss_idx]
+        w = self.machine_scale[k] * self.node_weights_batch(miss_rows, memo=False)
+        for c in self.constraints:
+            pen = np.fromiter(
+                (c.penalty(k, node) for node in miss_rows),
+                dtype=float, count=len(miss_rows),
+            )
+            if (pen < 0).any():
+                raise _negative_penalty(c, k, pen[pen < 0][0])
+            w += pen
+        for r, node, wv in zip(miss_idx, miss_rows, w.tolist()):
+            vals[r] = wv
+            cache[(k, node)] = wv
+        return np.array(vals, dtype=float)
 
     def make_schedule(self, groups: Sequence[Sequence[int]]) -> "CoSchedule":
         """Build a :class:`CoSchedule` from machine-indexed groups
@@ -525,3 +558,12 @@ class CoSchedulingProblem:
         self.model.clear_caches()
         self.stats = {"degradation_evals": 0, "node_evals": 0}
         self.counters.reset()
+
+
+def _negative_penalty(
+    constraint: ScenarioConstraint, k: int, p: float
+) -> ValueError:
+    return ValueError(
+        f"constraint {type(constraint).__name__} returned a negative "
+        f"penalty {p} for machine {k}"
+    )

@@ -153,7 +153,12 @@ class BruteForce(Solver):
         """Exhaustive machine-slot enumeration — the oracle the scenario
         solvers are validated against.  Walks the canonical slot order with
         the strictly-increasing-leader rule inside identity runs, so
-        permutations of interchangeable machines are counted once."""
+        permutations of interchangeable machines are counted once.
+
+        Groups are scored one at a time through the scalar
+        :meth:`~repro.core.problem.CoSchedulingProblem.machine_node_weight`
+        on purpose: ``het_search`` scores through the batch kernels, and
+        the oracle must not share that path."""
         n = problem.n
         total = count_het_assignments(problem)
         if total > self.max_partitions:

@@ -29,6 +29,12 @@ identity run (the leader constraint resets there, so masks alone suffice).
 The slot index itself is implied by the mask's popcount — capacity prefix
 sums are strictly increasing.
 
+Each expansion scores every candidate group for its slot in one
+:meth:`machine_node_weights_batch
+<repro.core.problem.CoSchedulingProblem.machine_node_weights_batch>` call
+(memo hits, then one batch-kernel call for the misses); the rows are
+counted as ``het_expand`` in the problem's counters.
+
 The heuristic is the scenario analog of h2: the sum of each unscheduled
 process's admissible degradation floor, multiplied by the *minimum* scaling
 factor among remaining slots (constraint penalties are ``>= 0`` and
@@ -44,6 +50,8 @@ import heapq
 import itertools
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.problem import CoSchedulingProblem
 from .base import SolveResult
@@ -81,10 +89,11 @@ def _greedy_complete(
         k, cap, _ = plan[s]
         n_combos = math.comb(len(remaining), cap)
         if n_combos <= _GREEDY_COMBO_LIMIT:
-            best = min(
-                itertools.combinations(remaining, cap),
-                key=lambda node: problem.machine_node_weight(k, node),
-            )
+            # argmin takes the first minimum, the tie rule min() would use.
+            combos = list(itertools.combinations(remaining, cap))
+            best = combos[int(np.argmin(
+                problem.machine_node_weights_batch(k, combos)
+            ))]
         else:
             best = tuple(remaining[:cap])
         groups.append(best)
@@ -101,6 +110,7 @@ def solve_het(search, problem: CoSchedulingProblem) -> SolveResult:
     plan = problem.slot_plan()
     n_slots = len(plan)
     state = search._active_budget()
+    counters = problem.counters
 
     # -- admissible floor per process and per-suffix minimum scaling ----- #
     use_h = search.h_strategy != 0
@@ -183,10 +193,10 @@ def solve_het(search, problem: CoSchedulingProblem) -> SolveResult:
         eligible = [p for p in range(floor + 1, n) if not (mask >> p) & 1]
         if len(eligible) < cap:
             continue  # dead end: leader rule starved this run
-        succs = []
-        for node in itertools.combinations(eligible, cap):
-            w = problem.machine_node_weight(k, node)
-            succs.append((w, node))
+        rows = list(itertools.combinations(eligible, cap))
+        counters.observe_batch("het_expand", len(rows))
+        weights = problem.machine_node_weights_batch(k, rows)
+        succs = list(zip(weights.tolist(), rows))
         if node_limit is not None and len(succs) > node_limit:
             succs.sort()
             succs = succs[:node_limit]
@@ -235,5 +245,6 @@ def solve_het(search, problem: CoSchedulingProblem) -> SolveResult:
             "dismissed": dismissed,
             "visited_paths": expanded,
             "heterogeneous": True,
+            "profile": counters.snapshot(),
         },
     )

@@ -6,6 +6,11 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.core.constraints import (
+    BandwidthCapConstraint,
+    CachePartitionModel,
+    ScenarioConstraint,
+)
 from repro.core.degradation import (
     AsymmetricContentionModel,
     MatrixDegradationModel,
@@ -13,7 +18,8 @@ from repro.core.degradation import (
     SDCDegradationModel,
 )
 from repro.core.jobs import Workload, serial_job
-from repro.core.machine import QUAD_CORE
+from repro.core.machine import MACHINES, QUAD_CORE, ClusterSpec
+from repro.core.problem import CoSchedulingProblem
 from repro.workloads.catalog import CATALOG
 from repro.workloads.mixes import serial_mix
 from repro.workloads.synthetic import (
@@ -202,3 +208,109 @@ class TestClearCaches:
         assert problem.counters.count("node_weight_batched") == 1
         problem.clear_caches()
         assert problem.counters.count("node_weight_batched") == 0
+
+
+def scenario_problem(model_name, roster=("dual", "quad", "eight")):
+    """A dual + quad + eight roster with a bandwidth cap, a cache
+    partition and clock scaling attached, over one of four models."""
+    machines = tuple(MACHINES[m] for m in roster)
+    cluster = ClusterSpec.of_machines(machines)
+    n = sum(m.cores for m in machines)
+    cores = cluster.machine.cores
+    if model_name == "sdc":
+        names = ["BT", "CG", "EP", "FT", "IS", "LU", "MG", "SP"]
+        jobs = [serial_job(i, names[i % len(names)]) for i in range(n)]
+        model = SDCDegradationModel(Workload(jobs), cluster.machine, CATALOG)
+    else:
+        jobs = [serial_job(i, f"j{i}", profile_name=f"j{i}") for i in range(n)]
+        if model_name == "pressure":
+            rates = np.random.default_rng(21).uniform(0.15, 0.75, size=n)
+            model = MissRatePressureModel(miss_rates=rates, cores=cores,
+                                          saturation=0.9)
+        elif model_name == "asymmetric":
+            model = AsymmetricContentionModel.random(n, cores=cores, seed=22,
+                                                     saturation=0.75)
+        else:
+            model = MatrixDegradationModel.random_interaction(n, cores=cores,
+                                                              seed=23)
+    rng = np.random.default_rng(24)
+    constraints = (
+        BandwidthCapConstraint(
+            demands=rng.uniform(0.2e9, 1.0e9, size=n).tolist(),
+            caps=[None, 2.5e9, 3.0e9][:len(machines)],
+        ),
+        CachePartitionModel(
+            footprints=rng.uniform(1.0, 4.0, size=n).tolist(),
+            cache_bytes=[4.0, 8.0, 12.0][:len(machines)],
+            weight=0.5,
+        ),
+    )
+    reference = cluster.machine.clock_hz
+    return CoSchedulingProblem(
+        Workload(jobs), cluster, model, constraints=constraints,
+        machine_scaling=[reference / m.clock_hz for m in machines],
+    )
+
+
+class TestMachineBatch:
+    """``machine_node_weights_batch`` is the batch form of
+    ``machine_node_weight``: same values, same memo."""
+
+    @pytest.mark.parametrize("model_name, batched", [
+        ("pressure", True),
+        ("asymmetric", True),
+        ("matrix", True),
+        ("sdc", False),
+    ])
+    def test_matches_scalar_row_by_row(self, model_name, batched):
+        scalar_p = scenario_problem(model_name)
+        batch_p = scenario_problem(model_name)
+        assert batch_p.supports_batch_weights() is batched
+        assert len(set(batch_p.machine_scale)) > 1
+        for k, cap in enumerate(batch_p.capacities):
+            rows = list(itertools.combinations(range(batch_p.n), cap))[:400]
+            batch = batch_p.machine_node_weights_batch(k, rows)
+            scalar = np.array(
+                [scalar_p.machine_node_weight(k, nd) for nd in rows]
+            )
+            assert (scalar > 0).all()
+            np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=0)
+        kernel_rows = batch_p.counters.count("node_weight_batched")
+        assert (kernel_rows > 0) is batched
+
+    def test_penalties_are_charged(self):
+        problem = scenario_problem("pressure")
+        rows = list(itertools.combinations(range(problem.n), 4))[:200]
+        with_pen = problem.machine_node_weights_batch(1, rows)
+        bare = problem.machine_scale[1] * problem.node_weights_batch(rows)
+        assert (with_pen >= bare - 1e-12).all()
+        assert (with_pen > bare + 1e-9).any()
+
+    @pytest.mark.parametrize("model_name", ["pressure", "sdc"])
+    def test_negative_penalty_raises(self, model_name):
+        class Rebate(ScenarioConstraint):
+            kind = "rebate"
+
+            def penalty(self, machine_idx, node):
+                return -1.0 if 0 in node else 0.0
+
+        problem = scenario_problem(model_name)
+        problem.constraints = problem.constraints + (Rebate(),)
+        rows = [(1, 2), (0, 3)]
+        with pytest.raises(ValueError, match="negative penalty"):
+            problem.machine_node_weights_batch(0, rows)
+        with pytest.raises(ValueError, match="negative penalty"):
+            problem.machine_node_weight(0, (0, 3))
+
+    def test_second_call_is_all_memo_hits(self):
+        problem = scenario_problem("pressure")
+        rows = list(itertools.combinations(range(problem.n), 8))[:300]
+        first = problem.machine_node_weights_batch(2, rows)
+        evals = problem.stats["node_evals"]
+        assert evals == len(rows)
+        again = problem.machine_node_weights_batch(2, rows)
+        np.testing.assert_array_equal(first, again)
+        assert problem.stats["node_evals"] == evals
+        # The scalar path reads the same memo.
+        assert problem.machine_node_weight(2, rows[7]) == first[7]
+        assert problem.stats["node_evals"] == evals

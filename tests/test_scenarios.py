@@ -5,8 +5,11 @@ machine reordering, validation), the scenario-aware problem surface
 (capacity rosters, capability reporting, canonical schedules,
 evaluation), and the solver contract on scenario instances: every
 capable solver agrees with brute force, every incapable solver refuses
-structurally before searching.
+structurally before searching; and the batch-scored scenario search
+runs the same search as the scalar path.
 """
+
+import itertools
 
 import pytest
 
@@ -23,6 +26,8 @@ from repro.core.objective import evaluate_schedule
 from repro.core.problem import CoSchedulingProblem
 from repro.runtime import create_solver
 from repro.solvers.base import CapabilityError
+from repro.solvers.budget import Budget
+from repro.solvers.het_search import _greedy_complete
 from repro.workloads import bandwidth_capped_mix, heterogeneous_serial_mix
 from repro.workloads.synthetic import random_heterogeneous_instance
 
@@ -262,3 +267,84 @@ class TestScenarioSolvers:
         assert result.objective <= evaluate_schedule(
             het, seed
         ).objective + 1e-9
+
+
+def _batch_off(problem, monkeypatch):
+    """Force ``problem`` onto the scalar ``machine_node_weight`` path."""
+    monkeypatch.setattr(problem.model, "supports_batch", lambda: False)
+    assert not problem.supports_batch_weights()
+    return problem
+
+
+PARITY_ROSTERS = [
+    # the bench roster: bandwidth-capped quad, clock scaling
+    (("dual", "quad", "eight"),
+     dict(bandwidth_caps=(None, 2.5e9, None), clock_scaling=True)),
+    (("quad", "eight"), {}),
+    (("dual", "dual", "quad"), {}),
+]
+
+
+class TestBatchedScenarioSearch:
+    """het_search scores each expansion with one batch-kernel call; the
+    search must be the one the scalar path runs."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("roster, kwargs", PARITY_ROSTERS)
+    def test_batch_matches_scalar_and_brute(self, roster, kwargs, seed,
+                                            monkeypatch):
+        def make():
+            return random_heterogeneous_instance(
+                roster, seed=seed, saturation=0.9, **kwargs
+            )
+
+        batch = create_solver("oastar").solve(make())
+        scalar = create_solver("oastar").solve(_batch_off(make(), monkeypatch))
+        for key in ("expanded", "generated", "dismissed"):
+            assert batch.stats[key] == scalar.stats[key], key
+        assert batch.schedule.groups == scalar.schedule.groups
+        assert batch.objective == pytest.approx(scalar.objective, abs=1e-9)
+        assert batch.stats["profile"]["counts"]["node_weight_batched"] > 0
+        assert "node_weight_batched" not in scalar.stats["profile"]["counts"]
+        optimum = create_solver("brute").solve(make()).objective
+        assert batch.objective == pytest.approx(optimum, abs=1e-9)
+
+    def test_budget_stopped_completion_matches_scalar(self, monkeypatch):
+        def make():
+            return random_heterogeneous_instance(
+                ("dual", "quad", "eight"), seed=5, saturation=0.9,
+                bandwidth_caps=(None, 2.5e9, None), clock_scaling=True,
+            )
+
+        budget = Budget(max_expanded=1)
+        batch = create_solver("oastar").solve(make(), budget=budget)
+        scalar = create_solver("oastar").solve(
+            _batch_off(make(), monkeypatch), budget=budget
+        )
+        assert batch.budget_stopped == scalar.budget_stopped == "expanded"
+        assert batch.schedule.groups == scalar.schedule.groups
+        assert batch.objective == pytest.approx(scalar.objective, abs=1e-9)
+
+        # The completion itself, from the root, against a min() fill over
+        # scalar weights.
+        problem, reference = make(), make()
+        plan = problem.slot_plan()
+        filled = _greedy_complete(problem, plan, 0, (), list(range(problem.n)))
+        remaining, expected = list(range(reference.n)), []
+        for k, cap, _ in plan:
+            best = min(itertools.combinations(remaining, cap),
+                       key=lambda node: reference.machine_node_weight(k, node))
+            expected.append(best)
+            remaining = [p for p in remaining if p not in best]
+        assert filled == tuple(expected)
+
+    def test_expansion_batches_are_profiled(self):
+        # One quad and one dual: the root scores C(6, 4) = 15 quad groups,
+        # every later expansion the one dual group left.
+        het = tiny_problem()
+        result = create_solver("oastar").solve(het)
+        series = result.stats["profile"]["batches"]["het_expand"]
+        assert series["batches"] >= 2
+        assert series["items"] == 15 + (series["batches"] - 1)
+        assert series["max_size"] == 15
+        assert het.counters.batch_stats("het_expand") == series
