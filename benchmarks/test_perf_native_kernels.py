@@ -1,12 +1,13 @@
 """Micro-benchmark: compiled kernels vs the NumPy reference.
 
 The acceptance bar for the native backend is >= 2x on at least one of the
-three measured hot spots (pairwise node weights, pressure node weights,
-the SDC merge walk) at level-scoring sizes — in practice the cc build
-lands 3-9x on the two node-weight kernels.  A second guard checks the
-other direction: routing the NumPy fallback through the dispatcher must
-not cost more than 5% over calling the reference directly, so
-``COSCHED_NATIVE=0`` (and compiler-less hosts) keep the old performance.
+measured hot spots (pairwise node weights, pressure node weights, the SDC
+merge walk, the MER level select) at level-scoring sizes — in practice the
+cc build lands 3-9x on the two node-weight kernels and far more on the
+select.  A second guard checks the other direction: routing the NumPy
+fallback through the dispatcher must not cost more than 5% over calling
+the reference directly, so ``COSCHED_NATIVE=0`` (and compiler-less hosts)
+keep the old performance.
 
 Skips (rather than fails) when no native provider loads, so the suite is
 meaningful on machines without a C compiler.
@@ -42,6 +43,16 @@ def impl():
     backend = native.load_numba_backend() or native.load_cc_backend()
     if backend is None:
         pytest.skip("no native kernel provider on this host")
+    return backend
+
+
+@pytest.fixture(scope="module")
+def cc_impl():
+    # numba's provider delegates selection to NumPy, so only the cc build
+    # has a compiled select to measure.
+    backend = native.load_cc_backend()
+    if backend is None:
+        pytest.skip("no cc kernel provider on this host")
     return backend
 
 
@@ -93,6 +104,23 @@ class TestNativeSpeedup:
         print(f"pressure-saturating: native {t_native*1e3:.2f}ms "
               f"numpy {t_numpy*1e3:.2f}ms  x{t_numpy/t_native:.2f}")
         assert t_native <= t_numpy * 1.10
+
+    def test_select_smallest_at_least_2x(self, cc_impl, inputs):
+        # HA*'s MER trim: the k = n/u = 64 smallest of an 80,000-node level,
+        # far inside the bounded-heap regime (6k < N).
+        P, _, nodes = inputs
+        weights = numpy_backend.pairwise_node_weights(P, nodes)
+        k = 256 // 4
+        np.testing.assert_array_equal(
+            cc_impl.select_smallest(weights, k),
+            numpy_backend.select_smallest(weights, k))
+        t_native = best_of(lambda: cc_impl.select_smallest(weights, k))
+        t_numpy = best_of(
+            lambda: numpy_backend.select_smallest(weights, k))
+        speedup = t_numpy / t_native
+        print(f"select-smallest: native {t_native*1e3:.3f}ms "
+              f"numpy {t_numpy*1e3:.3f}ms  x{speedup:.2f}")
+        assert speedup >= 2.0
 
     def test_sdc_merge_not_slower_at_scale(self, impl):
         # Above the marshalling cutoff the compiled walk should win; the

@@ -71,9 +71,9 @@ def main() -> None:
           f"machines kept {s['machines_kept']} vs re-solved "
           f"{s['machines_resolved']} across the stream.")
     print("Unchanged machines keep their cache identity, so the repair "
-          "path pays for the\nperturbed sub-problem only — the committed "
-          "bench's `online` section tracks the\namortized speedup at "
-          "n=32 (see docs/ONLINE.md).")
+          "path pays for the\nperturbed sub-problem only — `cosched "
+          "replay` measures the\namortized speedup at n=32 (see "
+          "docs/ONLINE.md).")
 
 
 if __name__ == "__main__":

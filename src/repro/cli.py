@@ -13,8 +13,6 @@
     cosched serve --port 8831 --workers 2              # memoizing HTTP service
     cosched serve --shards 4 --store memo.jsonl        # multi-process tier
     cosched submit --url http://127.0.0.1:8831 BT CG EP FT
-    cosched bench --out benchmarks/results/BENCH_abc123.json  # perf document
-    cosched bench --trajectory             # cross-revision perf table
     cosched replay --n 32 --churn 0.5      # incremental repair vs re-solve
 
 ``solve`` co-schedules named catalog programs and prints the schedule plus
@@ -36,9 +34,7 @@ default, or ``--shards N`` for the multi-process sharded tier
 via ``--shed-solver``; ``submit`` sends one problem to a running service
 and prints the resolved schedule.  ``replay`` drives an arrival trace
 through the incremental repair engine (``docs/ONLINE.md``) and compares
-amortized repair latency against per-event full re-solves; ``bench
---trajectory`` aggregates every committed ``BENCH_*.json`` into a
-cross-revision table.
+amortized repair latency against per-event full re-solves.
 
 Every subcommand resolves solvers through :mod:`repro.runtime` — the CLI,
 the HTTP service and the experiment runners all accept the same solver
@@ -214,84 +210,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             tracer.close()
             print(f"trace: {tracer.events_written} events -> {args.trace}",
                   file=sys.stderr)
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .perf import bench, kernels
-
-    if args.trajectory:
-        rows = bench.trajectory(args.results_dir)
-        if not rows:
-            # An empty history is a fresh checkout, not an error: report
-            # it plainly and point at the command that starts one.
-            print(f"no bench history yet: no valid BENCH_*.json under "
-                  f"{args.results_dir} (run `cosched bench --out "
-                  f"{args.results_dir}/BENCH_<rev>.json` to start one)",
-                  file=sys.stderr)
-            return 0
-        if args.out:
-            import json
-
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(rows, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"trajectory ({len(rows)} documents) -> {args.out}",
-                  file=sys.stderr)
-        print(bench.trajectory_markdown(rows))
-        return 0
-    if args.repeats is not None and args.repeats < 1:
-        print("--repeats must be >= 1", file=sys.stderr)
-        return 2
-    info = kernels.backend_info()
-    print(f"kernel backend: {kernels.active_backend()} "
-          f"(provider {info['provider']})", file=sys.stderr)
-    doc = bench.run_bench(
-        smoke=args.smoke,
-        repeats=args.repeats,
-        results_dir=args.results_dir,
-    )
-    if args.out:
-        bench.write_bench(doc, args.out)
-        print(f"bench -> {args.out}", file=sys.stderr)
-    else:
-        import json
-
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    micro = doc["micro"]
-    for name in sorted(micro):
-        case = micro[name]
-        print(f"  {name:24s} numpy {case['numpy_ms']:8.3f}ms  "
-              f"active {case['active_ms']:8.3f}ms  "
-              f"x{case['speedup']:.2f}", file=sys.stderr)
-    solve = doc["solve"]
-    lat = solve["latency_ms"]
-    print(f"  solve {solve['spec']} n={solve['n']}: "
-          f"p50 {lat['p50']:.1f}ms  p90 {lat['p90']:.1f}ms  "
-          f"{solve['nodes_per_sec']:.0f} nodes/s", file=sys.stderr)
-    service = doc.get("service")
-    if service:
-        for point in service["points"]:
-            print(f"  service {point['shards']} shard(s): "
-                  f"{point['rps']:.1f} req/s "
-                  f"({point['solves']} solves, "
-                  f"{point['cache_hits']} hits, "
-                  f"{point['coalesced']} coalesced)", file=sys.stderr)
-        print(f"  service speedup at {service['points'][-1]['shards']} "
-              f"shards: x{service['speedup_max_shards']:.2f}",
-              file=sys.stderr)
-    online = doc.get("online")
-    if online:
-        print(f"  online repair n={online['trace']['n']} "
-              f"({online['trace']['events']} events): "
-              f"x{online['amortized_speedup']:.2f} amortized, "
-              f"mean regret {online['mean_regret']:.4f}, "
-              f"never worse than greedy: "
-              f"{online['never_worse_than_greedy']}", file=sys.stderr)
-    if doc["baseline"] is not None:
-        base = doc["baseline"]
-        print(f"  vs baseline {base['revision']}: "
-              f"x{base['speedup_vs_baseline']:.2f}", file=sys.stderr)
-    return 0
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -631,34 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit Graphviz DOT instead of ASCII")
     p_graph.set_defaults(func=_cmd_graph)
 
-    p_bench = sub.add_parser(
-        "bench", help="run the perf suite, emit a BENCH_*.json document",
-    )
-    p_bench.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized run: tiny inputs, few repeats, same schema",
-    )
-    p_bench.add_argument(
-        "--repeats", type=int, default=None, metavar="N",
-        help="end-to-end solve repetitions (default: 9, or 3 with --smoke)",
-    )
-    p_bench.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="write the JSON document here instead of stdout",
-    )
-    p_bench.add_argument(
-        "--results-dir", default="benchmarks/results", metavar="DIR",
-        help="where committed BENCH_*.json documents live; the newest one "
-             "for another revision becomes the speedup baseline",
-    )
-    p_bench.add_argument(
-        "--trajectory", action="store_true",
-        help="don't run anything: aggregate every committed BENCH_*.json "
-             "in --results-dir into a cross-revision markdown table "
-             "(--out additionally writes the rows as JSON)",
-    )
-    p_bench.set_defaults(func=_cmd_bench)
-
     p_replay = sub.add_parser(
         "replay",
         help="replay an arrival trace through the incremental repair engine",
@@ -702,8 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_replay.add_argument(
         "--saturation", type=float, default=None, metavar="S",
-        help="pressure-model saturation cap (default: uncapped; the "
-             "committed bench uses 4.0)",
+        help="pressure-model saturation cap (default: uncapped; "
+             "docs/ONLINE.md's measured replay uses 4.0)",
     )
     p_replay.add_argument("--cluster", default="quad",
                           choices=("dual", "quad", "eight"))

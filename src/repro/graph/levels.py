@@ -526,10 +526,9 @@ class HeuristicEstimator:
         pairwise degradation table (any model, inclusion-monotone cache d);
         ``"auto"`` — monotone if available, exact when C(n, u) is small,
         else pairwise.
-    variant:
-        Strategy-2 level selection: ``"suffix"`` (admissible suffix-minimum
-        over levels ≥ the k-th smallest unscheduled pid) or ``"paper"``
-        (literal levels ``u_1, u_{1+u}, …``).
+
+    Strategy 2 takes, for the k-th smallest unscheduled pid, the admissible
+    suffix minimum over levels ≥ that pid.
     """
 
     def __init__(
@@ -538,19 +537,15 @@ class HeuristicEstimator:
         strategy: int = 2,
         h_parallel: str = "zero",
         level_mode: str = "auto",
-        variant: str = "suffix",
         exact_limit: int = 40_000,
     ):
         if strategy not in (1, 2):
             raise ValueError("strategy must be 1 or 2")
         if h_parallel not in ("zero", "sum"):
             raise ValueError("h_parallel must be 'zero' or 'sum'")
-        if variant not in ("suffix", "paper"):
-            raise ValueError("variant must be 'suffix' or 'paper'")
         self.problem = problem
         self.strategy = strategy
         self.h_parallel = h_parallel
-        self.variant = variant
         n, u = problem.n, problem.u
         self.n, self.u = n, u
         wl = problem.workload
@@ -669,12 +664,12 @@ class HeuristicEstimator:
     def h_tail(self, unscheduled: Tuple[int, ...]) -> float:
         """Lower bound on h for any *child* of this state.
 
-        For the suffix variant of Strategy 2, dropping the first-level term
-        is admissible: a child's k-th smallest unscheduled pid is at least
-        this state's (k+1)-th, and the suffix minima are non-decreasing.
+        For Strategy 2, dropping the first-level term is admissible: a
+        child's k-th smallest unscheduled pid is at least this state's
+        (k+1)-th, and the suffix minima are non-decreasing.
         Used by partial-expansion A* to price un-generated successors.
         """
-        if self.strategy != 2 or self.variant != "suffix":
+        if self.strategy != 2:
             return 0.0
         r = len(unscheduled) // self.u
         if r <= 1:
@@ -711,12 +706,6 @@ class HeuristicEstimator:
 
     def _h2(self, unscheduled: Tuple[int, ...], r: int) -> float:
         last_level = self.n - self.u
-        if self.variant == "paper":
-            total = 0.0
-            for k in range(r):
-                L = min(unscheduled[k * self.u], last_level)
-                total += self._level_min[L]
-            return total
         total = 0.0
         for k in range(r):
             L = min(unscheduled[k], last_level)

@@ -18,8 +18,7 @@ schedule against the full re-solve, clamped at zero (repair can win —
 warm starts make that legal):
 ``max(0, repair_obj - full_obj) / full_obj``.  The aggregate
 ``amortized_speedup`` is total full-solve time over total repair time —
-the metric the committed bench records (``online`` section, schema
-cosched-bench/3).
+the headline number ``cosched replay`` prints.
 """
 
 from __future__ import annotations
@@ -55,8 +54,8 @@ def synthetic_trace(
 ) -> Dict[str, object]:
     """A reproducible churn trace: ``n`` initial jobs, then ``events``
     operations cycling update → depart → arrive (roster size stays within
-    one job of ``n``).  ``events`` defaults to ``round(churn * n)`` — the
-    bench's 50%-churn trace is ``synthetic_trace(32)``.
+    one job of ``n``).  ``events`` defaults to ``round(churn * n)`` —
+    ``cosched replay``'s default 50%-churn trace is ``synthetic_trace(32)``.
     """
     if events is None:
         events = max(1, int(round(churn * n)))

@@ -23,9 +23,9 @@ library degrades to the fallback instead of corrupting results.
 Every caller (degradation models, the SDC merge, level expansion) imports
 the module-level functions below, which dispatch to the active backend.
 :func:`active_backend` (``"native"`` | ``"numpy"``) is surfaced in
-``SolveReport.to_dict()``, ``cosched solve --json``, the service
-``/metrics`` payload, and ``BENCH_*.json`` documents so every recorded
-measurement names the path that produced it.
+``SolveReport.to_dict()``, ``cosched solve --json`` and the service
+``/metrics`` payload, so every recorded measurement names the path that
+produced it.
 """
 
 from __future__ import annotations

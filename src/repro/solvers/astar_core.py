@@ -46,6 +46,8 @@ from .base import SolveResult, Solver
 __all__ = ["AStarSearch"]
 
 _EPS = 1e-12
+# Successors materialized per partial-expansion pop.
+_PARTIAL_BATCH = 32
 
 
 @dataclass
@@ -103,7 +105,7 @@ class AStarSearch(Solver):
     condense:
         Enable Section III-E communication-aware condensation for PC jobs
         (PE bucketing is exact and always on unless ``condense_pe=False``).
-    h_parallel / h_variant / h_level_mode:
+    h_parallel:
         Forwarded to :class:`~repro.graph.levels.HeuristicEstimator`.
     """
 
@@ -118,11 +120,8 @@ class AStarSearch(Solver):
         condense: bool = False,
         condense_pe: bool = True,
         h_parallel: str = "zero",
-        h_variant: str = "suffix",
-        h_level_mode: str = "auto",
         process_floor: bool = True,
         partial_expansion: bool = True,
-        partial_batch: int = 32,
         beam_width: Optional[int] = None,
         max_expansions: Optional[int] = None,
     ):
@@ -139,11 +138,8 @@ class AStarSearch(Solver):
         self.condense = condense
         self.condense_pe = condense_pe
         self.h_parallel = h_parallel
-        self.h_variant = h_variant
-        self.h_level_mode = h_level_mode
         self.process_floor = process_floor
         self.partial_expansion = partial_expansion
-        self.partial_batch = max(1, partial_batch)
         if beam_width is not None and beam_width < 1:
             raise ValueError("beam_width must be >= 1")
         self.beam_width = beam_width
@@ -181,8 +177,6 @@ class AStarSearch(Solver):
                 problem,
                 strategy=self.h_strategy,
                 h_parallel=self.h_parallel,
-                variant=self.h_variant,
-                level_mode=self.h_level_mode,
             )
 
         node_limit: Optional[int] = None
@@ -200,7 +194,6 @@ class AStarSearch(Solver):
             and gen.supports_stream()
             and estimator is not None
             and self.h_strategy == 2
-            and self.h_variant == "suffix"
         )
 
         # Per-process admissible floors (the second heuristic, combined with
@@ -540,7 +533,7 @@ class AStarSearch(Solver):
                         batch_nodes = []
                         while (
                             rec.pending is not None
-                            and len(batch_nodes) < self.partial_batch
+                            and len(batch_nodes) < _PARTIAL_BATCH
                         ):
                             batch_nodes.append(rec.pending)
                             rec.pending = next(rec.stream, None)

@@ -31,8 +31,6 @@ class HAStar(AStarSearch):
         dismiss: str = "dominance",
         condense: bool = False,
         h_parallel: str = "zero",
-        h_variant: str = "suffix",
-        h_level_mode: str = "auto",
         process_floor: bool = True,
         beam_width: Optional[int] = None,
         max_expansions: Optional[int] = None,
@@ -47,8 +45,6 @@ class HAStar(AStarSearch):
             dismiss=dismiss,
             condense=condense,
             h_parallel=h_parallel,
-            h_variant=h_variant,
-            h_level_mode=h_level_mode,
             process_floor=process_floor,
             beam_width=beam_width,
             max_expansions=max_expansions,

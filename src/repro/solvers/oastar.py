@@ -26,8 +26,6 @@ class OAStar(AStarSearch):
         condense: bool = False,
         condense_pe: bool = True,
         h_parallel: str = "zero",
-        h_variant: str = "suffix",
-        h_level_mode: str = "auto",
         process_floor: bool = True,
         partial_expansion: bool = True,
         max_expansions: Optional[int] = None,
@@ -41,8 +39,6 @@ class OAStar(AStarSearch):
             condense=condense,
             condense_pe=condense_pe,
             h_parallel=h_parallel,
-            h_variant=h_variant,
-            h_level_mode=h_level_mode,
             process_floor=process_floor,
             partial_expansion=partial_expansion,
             max_expansions=max_expansions,

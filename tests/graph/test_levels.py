@@ -180,8 +180,6 @@ class TestHeuristicAdmissibility:
         with pytest.raises(ValueError):
             HeuristicEstimator(problem, h_parallel="bogus")
         with pytest.raises(ValueError):
-            HeuristicEstimator(problem, variant="bogus")
-        with pytest.raises(ValueError):
             HeuristicEstimator(problem, level_mode="bogus")
 
 

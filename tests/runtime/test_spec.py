@@ -99,6 +99,14 @@ class TestErrors:
         assert main(["solve", "--solver", name, "BT", "CG"]) == 2
         assert "unknown_solver" in capsys.readouterr().err
 
+    def test_removed_bench_subcommand_is_unknown(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     def test_empty_composite_list(self):
         with pytest.raises(SpecError) as exc:
             create_solver("fallback?chain=true")

@@ -218,225 +218,3 @@ class TestProfileSurvivesFailure:
                   "BT", "CG", "EP", "FT"])
         # The finally flushed and closed the tracer: the event is on disk.
         assert '"ev":"solve_start"' in trace.read_text()
-
-
-@pytest.fixture(scope="module")
-def smoke_doc():
-    """One smoke bench document, shared by every test that only reads it
-    (tests that need a variant copy it first)."""
-    from repro.perf import bench
-
-    return bench.run_bench(smoke=True, repeats=1)
-
-
-class TestBenchCommand:
-    def test_smoke_writes_valid_document(self, tmp_path, capsys):
-        import json
-
-        from repro.perf import bench, kernels
-
-        out = tmp_path / "BENCH_test.json"
-        rc = main(["bench", "--smoke", "--repeats", "1",
-                   "--out", str(out), "--results-dir", str(tmp_path)])
-        assert rc == 0
-        doc = json.loads(out.read_text())
-        bench.validate(doc)  # raises on any schema violation
-        assert doc["schema"] == bench.SCHEMA == "cosched-bench/6"
-        assert "evolve" not in doc
-        assert doc["smoke"] is True
-        assert doc["kernel_backend"] == kernels.active_backend()
-        assert doc["solve"]["repeats"] == 1
-        err = capsys.readouterr().err
-        assert "kernel backend:" in err
-
-    def test_smoke_stdout_json(self, capsys, monkeypatch, smoke_doc):
-        import json
-
-        from repro.perf import bench
-
-        monkeypatch.setattr(bench, "run_bench", lambda **kw: smoke_doc)
-        rc = main(["bench", "--smoke", "--repeats", "1",
-                   "--results-dir", "benchmarks/results"])
-        assert rc == 0
-        doc = json.loads(capsys.readouterr().out)
-        bench.validate(doc)
-
-    def test_rejects_bad_repeats(self, capsys):
-        assert main(["bench", "--smoke", "--repeats", "0"]) == 2
-
-    def test_baseline_picked_up_from_results_dir(self, tmp_path, smoke_doc):
-        from repro.perf import bench
-
-        first = dict(smoke_doc)
-        first["revision"] = "0000000"  # pretend it came from another tree
-        bench.write_bench(first, str(tmp_path / "BENCH_0000000.json"))
-        second = bench.run_bench(smoke=True, repeats=1,
-                                 results_dir=str(tmp_path))
-        assert second["baseline"] is not None
-        assert second["baseline"]["revision"] == "0000000"
-        assert second["baseline"]["speedup_vs_baseline"] > 0
-
-    def test_validate_rejects_malformed(self, smoke_doc):
-        from repro.perf import bench
-
-        bench.validate(smoke_doc)
-        for missing in ("schema", "micro", "solve", "kernel_backend"):
-            bad = dict(smoke_doc)
-            del bad[missing]
-            try:
-                bench.validate(bad)
-            except ValueError as exc:
-                assert missing in str(exc)
-            else:
-                raise AssertionError(f"missing {missing} not caught")
-
-
-class TestBenchServiceSection:
-    def test_smoke_document_carries_service_scaling(self, smoke_doc):
-        import os
-
-        service = smoke_doc["service"]
-        assert service["stream"]["duplicate_fraction"] == 0.5
-        assert "wall_budget_s" not in service["stream"]
-        shards = [p["shards"] for p in service["points"]]
-        assert shards == sorted(shards) and shards[0] == 1
-        assert shards[-1] <= (os.cpu_count() or 1)
-        for point in service["points"]:
-            assert point["requests"] == service["stream"]["requests"]
-            assert point["rps"] > 0
-            assert point["unresolved"] == 0
-        assert service["speedup_max_shards"] > 0
-
-    def test_validate_accepts_v1_documents_without_service(self):
-        """Committed BENCH docs that predate the sharded tier stay valid
-        (find_baseline must keep loading them)."""
-        import json
-        from pathlib import Path
-
-        from repro.perf import bench
-
-        results = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
-        v1_docs = []
-        for path in results.glob("BENCH_*.json"):
-            doc = json.loads(path.read_text())
-            if doc["schema"] == bench.SCHEMA_V1:
-                v1_docs.append((path.name, doc))
-        for name, doc in v1_docs:
-            bench.validate(doc)  # must not raise
-
-    def test_validate_requires_service_for_v2(self, smoke_doc):
-        from repro.perf import bench
-
-        bad = dict(smoke_doc)
-        del bad["service"]
-        with pytest.raises(ValueError, match="service"):
-            bench.validate(bad)
-        import json
-
-        bad_point = json.loads(json.dumps(smoke_doc))
-        del bad_point["service"]["points"][0]["rps"]
-        with pytest.raises(ValueError, match="rps"):
-            bench.validate(bad_point)
-
-
-class TestBenchEvolveSection:
-    """The retired ``evolve`` section is required on v4-v5 documents
-    only."""
-
-    def test_validate_accepts_v3_documents_without_evolve(self, smoke_doc):
-        from repro.perf import bench
-
-        old = dict(smoke_doc)
-        del old["scenarios"]
-        old["schema"] = bench.SCHEMA_V3
-        bench.validate(old)  # must not raise
-        old["schema"] = bench.SCHEMA_V4
-        with pytest.raises(ValueError, match="evolve"):
-            bench.validate(old)
-
-
-class TestBenchScenariosSection:
-    def test_smoke_document_carries_scenario_quality(self, smoke_doc):
-        scenarios = smoke_doc["scenarios"]
-        assert scenarios["solvers"] == ["pg", "hill", "anneal"]
-        assert {p["variant"] for p in scenarios["points"]} == {
-            "homogeneous", "heterogeneous"
-        }
-        for point in scenarios["points"]:
-            for solver in scenarios["solvers"]:
-                vals = point["per_seed"][solver]
-                assert len(vals) == len(scenarios["seeds"])
-                assert all(v > 0 for v in vals)
-        # Both variants draw identical miss rates, so the ratio isolates
-        # what the roster + constraint cost: always a positive number.
-        for solver in scenarios["solvers"]:
-            assert scenarios["het_vs_homog"][solver] > 0
-
-    def test_validate_accepts_v4_documents_without_scenarios(self, smoke_doc):
-        from repro.perf import bench
-
-        import json
-        from pathlib import Path
-
-        doc = smoke_doc
-        old = dict(doc)
-        del old["scenarios"]
-        old["schema"] = bench.SCHEMA_V4
-        # v4 still requires the retired section; borrow the committed one.
-        committed = (Path(__file__).resolve().parent.parent / "benchmarks"
-                     / "results" / "BENCH_ccdbb1c.json")
-        old["evolve"] = json.loads(committed.read_text())["evolve"]
-        bench.validate(old)  # must not raise
-        bad = dict(doc)
-        del bad["scenarios"]
-        with pytest.raises(ValueError, match="scenarios"):
-            bench.validate(bad)
-
-    def test_trajectory_renders_pre_scenario_documents(self, tmp_path,
-                                                       smoke_doc):
-        from repro.perf import bench
-
-        doc = smoke_doc
-        bench.write_bench(doc, str(tmp_path / "BENCH_new.json"))
-        old = dict(doc)
-        del old["scenarios"]
-        old["schema"] = bench.SCHEMA_V3
-        old["revision"] = "0000old"
-        bench.write_bench(old, str(tmp_path / "BENCH_old.json"))
-        rows = bench.trajectory(str(tmp_path))
-        by_rev = {r["revision"]: r for r in rows}
-        assert by_rev[doc["revision"]]["scenario_het_ratio"] > 0
-        assert by_rev["0000old"]["scenario_het_ratio"] is None
-        table = bench.trajectory_markdown(rows)
-        assert "het/homog" in table
-        # The pre-scenario row renders a dash, not a crash.
-        assert "—" in table
-
-
-class TestBenchTrajectoryFlag:
-    def test_empty_results_dir_degrades_gracefully(self, tmp_path, capsys):
-        rc = main(["bench", "--trajectory",
-                   "--results-dir", str(tmp_path)])
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert "no bench history yet" in captured.err
-        assert captured.out == ""
-
-    def test_missing_results_dir_degrades_gracefully(self, tmp_path, capsys):
-        rc = main(["bench", "--trajectory",
-                   "--results-dir", str(tmp_path / "nope")])
-        assert rc == 0
-        assert "no bench history yet" in capsys.readouterr().err
-
-    def test_renders_table_when_documents_exist(self, tmp_path, capsys,
-                                                smoke_doc):
-        from repro.perf import bench
-
-        doc = smoke_doc
-        bench.write_bench(doc, str(tmp_path / "BENCH_test.json"))
-        rc = main(["bench", "--trajectory",
-                   "--results-dir", str(tmp_path)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "| revision |" in out
-        assert doc["revision"] in out

@@ -7,8 +7,9 @@ their own right by CI scripts; here we just import-compile them).
 
 The docs-lint half (``TestDocsLint``) keeps the documentation from
 drifting: every public package has an API.md section, every CLI flag is
-documented, and every python code fence in the docs parses and imports
-only names that exist.  CI runs this file as its own job.
+documented, every documented ``cosched`` subcommand exists, and every
+python code fence in the docs parses and imports only names that exist.
+CI runs this file as its own job.
 """
 
 import ast
@@ -95,6 +96,23 @@ def cli_flags():
     return sorted(set(flags))
 
 
+def cli_subcommands():
+    """Every subcommand name declared by an ``add_parser`` call in cli.py."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    names = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_parser"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+        ):
+            names.append(node.args[0].value)
+    assert names, "no CLI subcommands found — did cli.py move?"
+    return set(names)
+
+
 def python_fences():
     """(path, index, source) for every ```python fence in README/docs."""
     fence = re.compile(r"```python\n(.*?)```", re.DOTALL)
@@ -139,6 +157,21 @@ class TestDocsLint:
             if f"`{flag}" in path.read_text() or f"{flag} " in path.read_text():
                 return
         pytest.fail(f"CLI flag {flag} appears in no doc (README or docs/)")
+
+    def test_every_documented_subcommand_exists(self):
+        """The reverse of the flag check: a ``cosched <word>`` named in
+        README, docs/ or examples/ must be a subcommand cli.py declares."""
+        known = cli_subcommands()
+        sources = DOC_FILES + sorted((REPO / "examples").glob("*"))
+        stale = {
+            f"{path.name}: cosched {word}"
+            for path in sources if path.is_file()
+            for word in re.findall(r"\bcosched ([a-z][a-z-]*)",
+                                   path.read_text())
+            if word not in known
+        }
+        assert not stale, "unknown subcommands documented:\n" + "\n".join(
+            sorted(stale))
 
     @pytest.mark.parametrize(
         "doc,idx,source", python_fences(),

@@ -277,7 +277,8 @@ def _batch_off(problem, monkeypatch):
 
 
 PARITY_ROSTERS = [
-    # the bench roster: bandwidth-capped quad, clock scaling
+    # the oastar-scenario benchmark roster: bandwidth-capped quad, clock
+    # scaling
     (("dual", "quad", "eight"),
      dict(bandwidth_caps=(None, 2.5e9, None), clock_scaling=True)),
     (("quad", "eight"), {}),
