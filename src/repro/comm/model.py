@@ -78,12 +78,25 @@ class CommunicationModel:
         as ``pid`` (excluding ``pid`` itself).  Neighbours found in ``coset``
         communicate intra-machine for free (Eq. 11).
         """
+        coset_mask = 0
+        for q in coset:
+            coset_mask |= 1 << q
+        return self.comm_time_mask(pid, coset_mask)
+
+    def comm_time_mask(self, pid: int, coset_mask: int) -> float:
+        """Eq. 10 with the co-located set given as a pid bitmask (bit ``q``
+        set iff process ``q`` shares ``pid``'s machine).
+
+        The mask may include ``pid`` itself: a process is never its own
+        neighbour.  The one Eq. 10 implementation: :meth:`comm_time`
+        builds the mask and calls this.
+        """
         nbrs = self._neighbours.get(pid)
         if not nbrs:
             return 0.0
         volume = 0.0
         for nbr_pid, halo in nbrs:
-            if nbr_pid not in coset:
+            if not coset_mask >> nbr_pid & 1:
                 volume += halo
         return volume / self.bandwidth
 

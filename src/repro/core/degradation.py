@@ -161,6 +161,10 @@ class SDCDegradationModel(CacheDegradationModel):
     def _profile(self, name: str):
         return self.profiles[name]
 
+    def profile_name_of(self, pid: int) -> Optional[str]:
+        """Profile name of process ``pid``; ``None`` for imaginary padding."""
+        return self._pid_profile[pid]
+
     def single_time(self, pid: int) -> float:
         name = self._pid_profile[pid]
         if name is None:

@@ -7,7 +7,9 @@ callable every solver uses:
 * ``degradation(pid, coset)`` — Eq. 1 for serial/PE processes, Eq. 9
   (cache degradation + normalized communication time) for PC processes;
 * ``node_weight(node)`` — the graph-node weight of Fig. 3: the total
-  degradation of the ``u`` processes placed together on one machine.
+  degradation of the ``u`` processes placed together on one machine;
+* ``node_degradations(node)`` — the member degradations behind that weight,
+  one per member, for the search paths that need them individually.
 
 All values are memoized; degradations are pure functions of ``(pid, coset)``
 so solvers can share one problem instance.
@@ -33,7 +35,7 @@ import numpy as np
 from ..comm.model import CommunicationModel
 from ..perf.counters import PerfCounters
 from .constraints import ScenarioConstraint
-from .degradation import CacheDegradationModel
+from .degradation import CacheDegradationModel, SDCDegradationModel
 from .jobs import JobKind, Workload
 from .machine import ClusterSpec, MachineSpec
 
@@ -146,6 +148,8 @@ class CoSchedulingProblem:
         self.node_extra_cost = node_extra_cost
         self._deg_cache: Dict[Tuple[int, FrozenSet[int]], float] = {}
         self._node_cache: Dict[Tuple[int, ...], float] = {}
+        self._node_degs_cache: Dict[Tuple[int, ...], Tuple[float, ...]] = {}
+        self._deg_tables: Optional[tuple] = None  # see _tables()
         self._extra_cache: Dict[Tuple[int, ...], float] = {}
         self.stats = {"degradation_evals": 0, "node_evals": 0}
         #: Performance instrumentation shared by every layer touching this
@@ -377,11 +381,86 @@ class CoSchedulingProblem:
             return hit
         self.stats["node_evals"] += 1
         self.counters.incr("node_weight_scalar")
-        members = frozenset(key)
-        w = sum(self.degradation(pid, members - {pid}) for pid in key)
+        w = sum(self.node_degradations(key))
         w += self.extra_cost(key)
         self._node_cache[key] = w
         return w
+
+    def node_degradations(self, node: Tuple[int, ...]) -> Tuple[float, ...]:
+        """``degradation(pid, node - {pid})`` for every member, in ``node``
+        order.
+
+        Equal (``==``) to the per-pid :meth:`degradation` calls.  For the
+        SDC model the cache part is read straight from the model's
+        profile-name memo and Eq. 10 from the communication model's
+        neighbour bitmasks, and the vector is memoized per node tuple:
+        :meth:`degradation`'s frozenset keys and memo are never touched.
+        Other models go through :meth:`degradation` and its per-pid memo.
+        The memo is keyed by the tuple as given: pass sorted tuples (as
+        every enumerator in :mod:`repro.graph` yields) so callers share
+        entries.
+        """
+        hit = self._node_degs_cache.get(node)
+        if hit is not None:
+            return hit
+        names, comm_ct, _serial = self._tables()
+        if names is None:
+            members = frozenset(node)
+            return tuple(
+                self.degradation(pid, members - {pid}) for pid in node
+            )
+        by_names = self.model.degradation_by_names
+        node_names = [names[pid] for pid in node]
+        present = sorted(nm for nm in node_names if nm is not None)
+        cache_part: Dict[str, float] = {}  # members sharing a profile
+        node_mask = 0
+        for pid in node:
+            node_mask |= 1 << pid
+        out = []
+        for pid, me in zip(node, node_names):
+            if me is None:  # imaginary: no contention, no comm
+                out.append(0.0)
+                continue
+            d = cache_part.get(me)
+            if d is None:
+                i = present.index(me)
+                d = cache_part[me] = by_names(
+                    me, tuple(present[:i] + present[i + 1:])
+                )
+            ct = comm_ct[pid]
+            if ct is not None:
+                d += self.comm.comm_time_mask(pid, node_mask) / ct
+            out.append(d)
+        degs = tuple(out)
+        self._node_degs_cache[node] = degs
+        return degs
+
+    def _tables(self) -> tuple:
+        """Per-pid tables read by :meth:`node_degradations` and
+        :meth:`node_h_weight`: ``(profile name or None, single time of a
+        PC process or None, is-serial flag)``.  The names are ``None``
+        unless the model is SDC.  Built on first use, dropped by
+        :meth:`clear_caches`."""
+        if self._deg_tables is not None:
+            return self._deg_tables
+        wl = self.workload
+        serial = tuple(
+            wl.kind_of(pid) is JobKind.SERIAL for pid in range(self.n)
+        )
+        if not isinstance(self.model, SDCDegradationModel):
+            self._deg_tables = (None, None, serial)
+            return self._deg_tables
+        names = tuple(
+            self.model.profile_name_of(pid) for pid in range(self.n)
+        )
+        comm_ct = tuple(
+            self.model.single_time(pid)
+            if self.comm is not None and self.comm.is_communicating(pid)
+            else None
+            for pid in range(self.n)
+        )
+        self._deg_tables = (names, comm_ct, serial)
+        return self._deg_tables
 
     def supports_batch_weights(self) -> bool:
         """True when :meth:`node_weights_batch` runs the model's vectorized
@@ -480,11 +559,12 @@ class CoSchedulingProblem:
             return self.node_weight(node)
         if parallel_as != "zero":
             raise ValueError(f"unknown parallel_as={parallel_as!r}")
-        members = frozenset(node)
+        key = tuple(sorted(node))
+        serial = self._tables()[2]
         w = 0.0
-        for pid in node:
-            if self.workload.kind_of(pid) is JobKind.SERIAL:
-                w += self.degradation(pid, members - {pid})
+        for pid, d in zip(key, self.node_degradations(key)):
+            if serial[pid]:
+                w += d
         return w
 
     # ------------------------------------------------------------------ #
@@ -553,6 +633,8 @@ class CoSchedulingProblem:
         serve stale values."""
         self._deg_cache.clear()
         self._node_cache.clear()
+        self._node_degs_cache.clear()
+        self._deg_tables = None
         self._extra_cache.clear()
         self._machine_node_cache.clear()
         self.model.clear_caches()

@@ -34,7 +34,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..comm.properties import node_condensation_key
 from ..core.degradation import MissRatePressureModel
 from ..core.jobs import JobKind
 from ..core.problem import CoSchedulingProblem
@@ -49,37 +48,43 @@ __all__ = ["SuccessorGenerator", "HeuristicEstimator"]
 # --------------------------------------------------------------------- #
 
 
-def _iter_group_combinations(
+def _iter_prefix_combinations(
     groups: Sequence[Tuple[int, ...]], k: int
 ) -> Iterator[Tuple[int, ...]]:
-    """Combinations of ``k`` pids, choosing a *prefix* from each group.
+    """Sorted ``k``-combinations that take a *prefix* of every group.
 
-    ``groups`` are disjoint sorted pid tuples; interchangeable processes
-    share a group and only their lowest unscheduled members are eligible,
-    which is what makes the enumeration canonical (each equivalence class
-    appears exactly once).
+    ``groups`` are disjoint sorted pid tuples, ordered by first member;
+    interchangeable processes share a group and only its lowest
+    unscheduled members are eligible, which makes the enumeration
+    canonical (each equivalence class appears exactly once).
+
+    Runs :func:`itertools.combinations` over the groups laid end to end
+    (each cut to its first ``k`` members, the most any combination can
+    take) and keeps a combination iff every member with a group
+    predecessor directly follows that predecessor.  The order is
+    lexicographic in that layout: a larger take from an earlier group
+    comes first.
     """
-    n_groups = len(groups)
-    suffix_capacity = [0] * (n_groups + 1)
-    for i in range(n_groups - 1, -1, -1):
-        suffix_capacity[i] = suffix_capacity[i + 1] + len(groups[i])
-
-    chosen: List[int] = []
-
-    def rec(gi: int, remaining: int) -> Iterator[Tuple[int, ...]]:
-        if remaining == 0:
-            yield tuple(sorted(chosen))
-            return
-        if gi >= n_groups or suffix_capacity[gi] < remaining:
-            return
-        group = groups[gi]
-        top = min(len(group), remaining)
-        for take in range(top, -1, -1):
-            chosen.extend(group[:take])
-            yield from rec(gi + 1, remaining - take)
-            del chosen[len(chosen) - take :]
-
-    yield from rec(0, k)
+    flat: List[int] = []
+    pred: Dict[int, int] = {}  # pid -> the member before it in its group
+    for group in groups:
+        head = group[:k]
+        flat.extend(head)
+        pred.update(zip(head[1:], head))
+    combos = itertools.combinations(flat, k)
+    if not pred:
+        yield from combos
+        return
+    ascending = all(a < b for a, b in zip(flat, flat[1:]))
+    for combo in combos:
+        prev = -1
+        for pid in combo:
+            need = pred.get(pid)
+            if need is not None and need != prev:
+                break
+            prev = pid
+        else:
+            yield combo if ascending else tuple(sorted(combo))
 
 
 #: Largest MER window (rows per kernel call) the trim scores at once;
@@ -200,6 +205,77 @@ class SuccessorGenerator:
         )
         self._levels_sorted: Optional[List[List[Tuple[float, Tuple[int, ...]]]]] = None
         self.stats = {"generated": 0, "condensed_away": 0}
+        if self._has_parallel and condense_pc:
+            self._build_condensation_tables()
+
+    def _build_condensation_tables(self) -> None:
+        """Per-process tables for :meth:`_condensation_key`.
+
+        ``_slot[pid]`` is -1 for serial and imaginary processes (which
+        never condense), else the index of the process's parallel job;
+        ``_axis_masks[pid]`` holds one neighbour-pid bitmask per axis of a
+        PC job's decomposition (empty for PE).
+        """
+        wl = self.problem.workload
+        n = self.problem.n
+        self._slot: List[int] = [-1] * n
+        self._axis_masks: List[Tuple[int, ...]] = [()] * n
+        for slot, job in enumerate(wl.parallel_jobs):
+            pids = wl.processes_of(job.job_id)
+            for rank, pid in enumerate(pids):
+                self._slot[pid] = slot
+                if job.kind is JobKind.PC:
+                    masks = [0] * job.topology.ndim
+                    for axis, nbr in job.topology.neighbours(rank):
+                        masks[axis] |= 1 << pids[nbr]
+                    self._axis_masks[pid] = tuple(masks)
+        # Members-of-one-job bitmask -> (slot, count, per-axis property).
+        self._job_parts: Dict[int, Tuple] = {}
+
+    def _condensation_key(self, node: Tuple[int, ...]) -> Tuple:
+        """Section III-E key of ``node``: it partitions a level exactly as
+        :func:`~repro.comm.properties.node_condensation_key` does.
+
+        Serial content is a pid bitmask; each parallel job present adds
+        its member count and, for PC jobs, the per-axis count of
+        (member, outside-neighbour) incidences, counted as
+        ``(axis mask & ~members).bit_count()`` and memoized per member
+        mask.  ``node`` is sorted and a job's pids are contiguous, so jobs
+        appear in slot order.
+        """
+        slot = self._slot
+        serial = 0
+        jobs: Dict[int, int] = {}
+        for pid in node:
+            s = slot[pid]
+            if s < 0:
+                serial |= 1 << pid
+            else:
+                jobs[s] = jobs.get(s, 0) | (1 << pid)
+        parts = self._job_parts
+        key = [serial]
+        for s, members in jobs.items():
+            part = parts.get(members)
+            if part is None:
+                part = parts[members] = self._job_part(s, members)
+            key.append(part)
+        return tuple(key)
+
+    def _job_part(self, slot: int, members: int) -> Tuple:
+        """``(slot, member count, per-axis external incidences)`` of one
+        job's members, given as a pid bitmask."""
+        outside = ~members
+        member_masks = []
+        rest = members
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            member_masks.append(self._axis_masks[low.bit_length() - 1])
+        prop = tuple(
+            sum((mask & outside).bit_count() for mask in axis)
+            for axis in zip(*member_masks)
+        )
+        return (slot, members.bit_count(), prop)
 
     def _ensure_presorted(self) -> None:
         if self._levels_sorted is not None:
@@ -310,26 +386,30 @@ class SuccessorGenerator:
             self.stats["generated"] += len(out)
             return out
 
-        seen_keys = set()
-        if self._has_parallel and (self.condense_pe or self.condense_pc):
-            combos: Iterator[Tuple[int, ...]] = _iter_group_combinations(
+        if self._has_parallel and self.condense_pe:
+            combos: Iterator[Tuple[int, ...]] = _iter_prefix_combinations(
                 self._groups(rest), k
             )
         else:
             combos = itertools.combinations(rest, k)
-        wl = self.problem.workload
-        nodes: List[Tuple[int, ...]] = []
-        for combo in combos:
-            # combos are ascending and level_pid is the smallest unscheduled
-            # pid, so the concatenation is already in node-id order.
-            node = (level_pid,) + combo
-            if self.condense_pc and self._has_parallel:
-                key = node_condensation_key(wl, node)
+        # combos are ascending and level_pid is the smallest unscheduled
+        # pid, so each concatenation is already in node-id order.
+        if self.condense_pc and self._has_parallel:
+            seen_keys = set()
+            key_of = self._condensation_key
+            nodes: List[Tuple[int, ...]] = []
+            condensed = 0
+            for combo in combos:
+                node = (level_pid,) + combo
+                key = key_of(node)
                 if key in seen_keys:
-                    self.stats["condensed_away"] += 1
+                    condensed += 1
                     continue
                 seen_keys.add(key)
-            nodes.append(node)
+                nodes.append(node)
+            self.stats["condensed_away"] += condensed
+        else:
+            nodes = [(level_pid,) + combo for combo in combos]
         # Score the whole surviving level at once: one batch-kernel call
         # instead of one Python weight evaluation per node.
         if self.problem.supports_batch_weights():

@@ -76,8 +76,14 @@ class _Record:
 def _dominates(a: _Record, b: _Record) -> bool:
     """True if subpath ``a`` is at least as good as ``b`` for *every*
     completion (they must share the same process set)."""
-    slack = a.serial_sum - b.serial_sum
-    for ma, mb in zip(a.par_max, b.par_max):
+    return _dominates_by(a.serial_sum, a.par_max, b.serial_sum, b.par_max)
+
+
+def _dominates_by(a_serial: float, a_max, b_serial: float, b_max) -> bool:
+    """:func:`_dominates` on ``(serial_sum, par_max)`` values, so a
+    candidate can be tested before its record is built."""
+    slack = a_serial - b_serial
+    for ma, mb in zip(a_max, b_max):
         if ma > mb:
             slack += ma - mb
         if slack > _EPS:
@@ -164,6 +170,7 @@ class AStarSearch(Solver):
             -1 if wl.job_of(pid) is None else wl.job_of(pid).job_id
             for pid in range(n)
         ]
+        imaginary = [wl.is_imaginary(pid) for pid in range(n)]
 
         perf = problem.counters
         gen = SuccessorGenerator(
@@ -322,6 +329,7 @@ class AStarSearch(Solver):
         counters = {"pushed": pushed, "dismissed": dismissed}
 
         serial_only = not par_jobs
+        node_degradations = problem.node_degradations
 
         def make_child(rec: _Record, node: Tuple[int, ...],
                        node_w: Optional[float] = None) -> Optional[_Record]:
@@ -383,22 +391,19 @@ class AStarSearch(Solver):
                 else:
                     bucket.append(cand)
                 return cand
-            members = frozenset(node)
-
             par_max = list(rec.par_max)
             par_remaining = list(rec.par_remaining)
             floor_serial_rest = rec.floor_serial_rest
             bal_a, bal_a2 = rec.bal_a, rec.bal_a2
             serial_sum = rec.serial_sum + problem.extra_cost(node)
-            for pid in node:
+            for pid, d in zip(node, node_degradations(node)):
                 if use_balance:
                     p = pressures[pid]
                     bal_a -= p
                     bal_a2 -= p * p
-                d = problem.degradation(pid, members - {pid})
                 kind = kinds[pid]
                 if kind is JobKind.SERIAL:
-                    if not wl.is_imaginary(pid):
+                    if not imaginary[pid]:
                         serial_sum += d
                         floor_serial_rest -= dmin[pid]
                 else:
@@ -411,24 +416,10 @@ class AStarSearch(Solver):
                     if par_remaining[k] == 0:
                         serial_sum += par_max[k]
                         par_max[k] = 0.0
-            new_unscheduled = tuple(
-                p for p in rec.unscheduled if p not in members
-            )
             g = serial_sum + sum(par_max)
-            cand = _Record(
-                unscheduled=new_unscheduled,
-                serial_sum=serial_sum,
-                par_max=tuple(par_max),
-                par_remaining=tuple(par_remaining),
-                g=g,
-                node=node,
-                parent=rec,
-                floor_serial_rest=floor_serial_rest,
-                bal_a=bal_a,
-                bal_a2=bal_a2,
-                mask=mask,
-            )
 
+            # Dismissal first: most candidates die here, before their
+            # unscheduled tuple and record are built.
             sid = state_ids.get(mask)
             if sid is None:
                 sid = len(buckets)
@@ -440,6 +431,30 @@ class AStarSearch(Solver):
                 if best_g[sid] <= g + _EPS:
                     counters["dismissed"] += 1
                     return None
+            elif any(
+                old.alive
+                and _dominates_by(old.serial_sum, old.par_max,
+                                  serial_sum, par_max)
+                for old in bucket
+            ):
+                counters["dismissed"] += 1
+                return None
+            cand = _Record(
+                unscheduled=tuple(
+                    p for p in rec.unscheduled if not node_mask & pid_bit[p]
+                ),
+                serial_sum=serial_sum,
+                par_max=tuple(par_max),
+                par_remaining=tuple(par_remaining),
+                g=g,
+                node=node,
+                parent=rec,
+                floor_serial_rest=floor_serial_rest,
+                bal_a=bal_a,
+                bal_a2=bal_a2,
+                mask=mask,
+            )
+            if self.dismiss == "paper":
                 best_g[sid] = g
                 if bucket:
                     bucket[0].alive = False
@@ -447,9 +462,6 @@ class AStarSearch(Solver):
                 else:
                     bucket.append(cand)
             else:
-                if any(old.alive and _dominates(old, cand) for old in bucket):
-                    counters["dismissed"] += 1
-                    return None
                 for old in bucket:
                     if old.alive and _dominates(cand, old):
                         old.alive = False

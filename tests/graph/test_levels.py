@@ -306,3 +306,192 @@ class TestMerWindow:
         assert win.objective == heap.objective
         for key in ("expanded", "nodes_generated", "dismissed"):
             assert win.stats[key] == heap.stats[key], key
+
+
+# --------------------------------------------------------------------- #
+# Table-driven condensation keys and the flat PE-prefix enumerator,
+# checked against the reference key and a brute-force enumeration.
+# --------------------------------------------------------------------- #
+
+
+def _mixed_problem(specs, cluster, seed):
+    """SDC (+ communication) problem from ``("serial",)``, ``("pe", n)``
+    and ``("pc", decomposition)`` job specs, padded to the core count."""
+    from repro.comm.model import CommunicationModel
+    from repro.core.degradation import SDCDegradationModel
+    from repro.core.jobs import pc_job
+    from repro.workloads.synthetic import random_profiles
+
+    jobs = []
+    for jid, spec in enumerate(specs):
+        name = f"{spec[0]}{jid}"
+        if spec[0] == "serial":
+            jobs.append(serial_job(jid, name))
+        elif spec[0] == "pe":
+            jobs.append(pe_job(jid, name, nprocs=spec[1]))
+        else:
+            jobs.append(pc_job(jid, name, topology=spec[1]))
+    wl = Workload(jobs, cores_per_machine=cluster.cores)
+    model = SDCDegradationModel(
+        wl, cluster.machine, random_profiles([j.name for j in jobs], seed=seed)
+    )
+    comm = (
+        CommunicationModel(wl, cluster.bandwidth_bytes_per_s)
+        if any(s[0] == "pc" for s in specs) else None
+    )
+    return CoSchedulingProblem(wl, cluster, model, comm)
+
+
+def _shape_specs(shape, seed):
+    from repro.comm.topology import grid_1d, grid_2d, grid_3d
+
+    rng = np.random.default_rng(seed)
+    serial = [("serial",)] * int(rng.integers(1, 4))
+    if shape == "pe-only":
+        return [("pe", 5), ("pe", 3)], QUAD_CORE_CLUSTER
+    if shape == "pc-1d":
+        return serial + [("pc", grid_1d(6, 1e9))], QUAD_CORE_CLUSTER
+    if shape == "pc-2d":
+        return serial + [("pe", 3), ("pc", grid_2d(3, 3, 2e9))], QUAD_CORE_CLUSTER
+    if shape == "pc-3d":
+        return serial + [("pc", grid_3d(2, 2, 2, (1e9, 2e9, 3e9)))], QUAD_CORE_CLUSTER
+    if shape == "periodic":
+        return serial + [("pc", grid_2d(3, 3, (1e9, 3e9), periodic=True))], \
+            QUAD_CORE_CLUSTER
+    if shape == "scrambled":
+        return serial + [("pe", 2), ("pc", grid_2d(2, 4, 2e9).scrambled(seed))], \
+            QUAD_CORE_CLUSTER
+    if shape == "padded":
+        # 1 serial + 2 + 6 = 9 real processes: padded to 12.
+        return [("serial",), ("pe", 2), ("pc", grid_2d(2, 3, 2e9))], \
+            QUAD_CORE_CLUSTER
+    assert shape == "eight"
+    return serial[:2] + [("pe", 3), ("pc", grid_2d(2, 4, 2e9)),
+                         ("pc", grid_1d(3, 1e9))], EIGHT_CORE_CLUSTER
+
+
+MIXED_SHAPES = ["pe-only", "pc-1d", "pc-2d", "pc-3d", "periodic",
+                "scrambled", "padded", "eight"]
+
+
+def _states(problem, seed):
+    """The root state and two random deeper states."""
+    rng = np.random.default_rng(seed)
+    n, u = problem.n, problem.u
+    out = [tuple(range(n))]
+    for depth in (1, 2):
+        size = n - depth * u
+        if size >= u:
+            out.append(tuple(sorted(
+                int(p) for p in rng.choice(n, size=size, replace=False)
+            )))
+    return out
+
+
+def _brute_successors(problem, unscheduled, condense_pe, condense_pc):
+    """``itertools.combinations`` over the level, filtered by the PE
+    prefix rule and condensed first-seen by ``node_condensation_key``;
+    returns the ``(node, weight)`` list and the condensed-away count."""
+    from repro.comm.properties import node_condensation_key
+    from repro.core.jobs import JobKind
+
+    wl, model = problem.workload, problem.model
+    bucket = {
+        pid: (wl.job_of(pid).job_id, model.interchangeable_key(pid))
+        for pid in range(problem.n)
+        if condense_pe and wl.kind_of(pid) is JobKind.PE
+    }
+    level, rest = unscheduled[0], unscheduled[1:]
+    out, seen, condensed = [], set(), 0
+    for combo in itertools.combinations(rest, problem.u - 1):
+        chosen = set(combo)
+        if any(
+            q < p and bucket.get(q) == bucket[p] and q not in chosen
+            for p in combo if p in bucket for q in rest
+        ):
+            continue
+        node = (level,) + combo
+        if condense_pc:
+            key = node_condensation_key(wl, node)
+            if key in seen:
+                condensed += 1
+                continue
+            seen.add(key)
+        out.append((node, problem.node_weight(node)))
+    return out, condensed
+
+
+class TestTableDrivenCondensation:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("shape", MIXED_SHAPES)
+    def test_keys_partition_levels_like_reference(self, shape, seed):
+        from repro.comm.properties import node_condensation_key
+
+        specs, cluster = _shape_specs(shape, seed)
+        problem = _mixed_problem(specs, cluster, seed)
+        gen = SuccessorGenerator(problem, condense_pc=True)
+        wl = problem.workload
+        for state in _states(problem, seed):
+            ref_of, table_of = {}, {}
+            for combo in itertools.combinations(state[1:], problem.u - 1):
+                node = (state[0],) + combo
+                ref = node_condensation_key(wl, node)
+                table = gen._condensation_key(node)
+                assert ref_of.setdefault(table, ref) == ref, node
+                assert table_of.setdefault(ref, table) == table, node
+            assert len(ref_of) == len(table_of)
+
+    @pytest.mark.parametrize("condense", [(True, True), (True, False),
+                                          (False, True)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("shape", MIXED_SHAPES)
+    def test_successors_match_brute_reference(self, shape, seed, condense):
+        condense_pe, condense_pc = condense
+        specs, cluster = _shape_specs(shape, seed)
+        problem = _mixed_problem(specs, cluster, seed)
+        gen = SuccessorGenerator(problem, condense_pe=condense_pe,
+                                 condense_pc=condense_pc)
+        for state in _states(problem, seed):
+            before = gen.stats["condensed_away"]
+            got = gen.successors(state)
+            want, condensed = _brute_successors(problem, state, condense_pe,
+                                                condense_pc)
+            assert got == want
+            assert gen.stats["condensed_away"] - before == condensed
+
+
+def _take_descending_reference(groups, k):
+    """The prefix combinations in take-vector order: the first group's
+    largest take first, recursively (the enumeration's definition)."""
+    if k == 0:
+        return [()]
+    if not groups:
+        return []
+    head, tail = groups[0], groups[1:]
+    out = []
+    for take in range(min(len(head), k), -1, -1):
+        out += [tuple(head[:take]) + rest
+                for rest in _take_descending_reference(tail, k - take)]
+    return [tuple(sorted(c)) for c in out]
+
+
+class TestPrefixCombinations:
+    def test_interleaved_groups_keep_take_order(self):
+        # Group (1, 3) interleaves with singleton (2,): the larger take from
+        # the first group comes first, so (1, 3) precedes (1, 2).
+        got = list(levels._iter_prefix_combinations([(1, 3), (2,)], 2))
+        assert got == [(1, 3), (1, 2)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_take_descending_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        pids = [int(p) for p in rng.permutation(12)]
+        groups, i = [], 0
+        while i < len(pids):
+            size = int(rng.integers(1, 5))
+            groups.append(tuple(sorted(pids[i:i + size])))
+            i += size
+        groups.sort(key=lambda g: g[0])
+        for k in range(1, 6):
+            assert (list(levels._iter_prefix_combinations(groups, k))
+                    == _take_descending_reference(groups, k))

@@ -8,7 +8,11 @@ import pytest
 
 from repro.comm.model import CommunicationModel
 from repro.comm.topology import grid_1d
-from repro.core.degradation import MatrixDegradationModel
+from repro.core.degradation import (
+    AsymmetricContentionModel,
+    MatrixDegradationModel,
+    MissRatePressureModel,
+)
 from repro.core.jobs import Workload, pc_job, pe_job, serial_job
 from repro.core.machine import DUAL_CORE_CLUSTER, QUAD_CORE_CLUSTER, ClusterSpec
 from repro.core.objective import evaluate_schedule, partial_distance
@@ -156,3 +160,106 @@ class TestObjective:
         groups = ((0, 3), (1, 4), (2, 5))
         dists = [partial_distance(problem, groups[:k]) for k in range(4)]
         assert all(a <= b + 1e-12 for a, b in zip(dists, dists[1:]))
+
+
+# --------------------------------------------------------------------- #
+# Per-node degradation vectors (the mixed search path's Eq. 9 reads)
+# --------------------------------------------------------------------- #
+
+
+def _mixed_sdc(padded):
+    from repro.workloads import random_mixed_instance
+
+    if padded:  # 12 real processes on eight cores: 4 imaginary pads
+        return lambda: random_mixed_instance(
+            5, pe_shapes=(3,), pc_shapes=(4,), cluster="eight", seed=4)
+    return lambda: random_mixed_instance(
+        6, pe_shapes=(4,), pc_shapes=(6,), cluster="quad", seed=3)
+
+
+def _matrix_exact_comm():
+    """Pairwise table with ``exact`` overrides, a PE job and a PC ring."""
+    def build():
+        jobs = [serial_job(0, "a"), serial_job(1, "b"),
+                pe_job(2, "mc", nprocs=2),
+                pc_job(3, "ring", topology=grid_1d(4, 3e9, periodic=True))]
+        wl = Workload(jobs, cores_per_machine=4)
+        rng = np.random.default_rng(11)
+        D = rng.uniform(0.05, 0.4, size=(wl.n, wl.n))
+        np.fill_diagonal(D, 0.0)
+        exact = {}
+        for node in [(0, 1, 2, 3), (0, 4, 5, 6), (1, 2, 5, 7)]:
+            for pid in node:
+                exact[(pid, frozenset(node) - {pid})] = float(rng.uniform(0, 1))
+        model = MatrixDegradationModel(pairwise=D, exact=exact,
+                                       single_times=[2.0] * wl.n)
+        comm = CommunicationModel(wl, QUAD_CORE_CLUSTER.bandwidth_bytes_per_s)
+        return CoSchedulingProblem(wl, QUAD_CORE_CLUSTER, model, comm)
+    return build
+
+
+def _pressure(model_cls, padded):
+    def build():
+        n_jobs = 10 if padded else 12
+        jobs = [serial_job(i, f"j{i}") for i in range(n_jobs)]
+        wl = Workload(jobs, cores_per_machine=4)
+        model = model_cls.random(wl.n, cores=4, seed=2, saturation=0.8)
+        return CoSchedulingProblem(wl, QUAD_CORE_CLUSTER, model)
+    return build
+
+
+def _all_nodes(problem, levels=3):
+    n, u = problem.n, problem.u
+    for L in range(min(levels, n - u + 1)):
+        for combo in itertools.combinations(range(L + 1, n), u - 1):
+            yield (L,) + combo
+
+
+class TestNodeDegradations:
+    @pytest.mark.parametrize("build", [
+        _mixed_sdc(padded=False),
+        _mixed_sdc(padded=True),
+        _matrix_exact_comm(),
+        _pressure(MissRatePressureModel, padded=False),
+        _pressure(AsymmetricContentionModel, padded=True),
+    ], ids=["sdc-comm", "sdc-comm-padded", "matrix-exact-comm",
+            "miss-rate", "asymmetric-padded"])
+    def test_vector_equals_per_pid_degradation(self, build):
+        problem, reference = build(), build()
+        for node in _all_nodes(problem):
+            degs = problem.node_degradations(node)
+            want = tuple(
+                reference.degradation(pid, frozenset(node) - {pid})
+                for pid in node
+            )
+            assert degs == want, node
+            assert problem.node_weight(node) == sum(want)
+
+    def test_clear_caches_drops_the_vector_memo(self):
+        problem = _mixed_sdc(padded=False)()
+        node = (0, 10, 11, 12)  # one serial process and three PC ranks
+        assert all(problem.comm.is_communicating(p) for p in node[1:])
+        before = problem.node_degradations(node)
+        problem.comm.bandwidth *= 2.0
+        assert problem.node_degradations(node) == before  # memoized
+        problem.clear_caches()
+        after = problem.node_degradations(node)
+        assert after[0] == before[0]
+        assert all(a < b for a, b in zip(after[1:], before[1:]))
+
+    def test_weight_eval_budget_stops_where_it_did(self):
+        # Pinned from the scalar per-pid path: the per-node vectors must
+        # not change which node weights count as evaluations.
+        from repro.runtime.registry import create_solver
+        from repro.solvers.budget import Budget
+        from repro.workloads import random_mixed_instance
+
+        problem = random_mixed_instance(6, pe_shapes=(4,), pc_shapes=(6,),
+                                        seed=1)
+        result = create_solver("oastar?condense=true").solve(
+            problem, budget=Budget(max_weight_evals=300))
+        budget = result.stats["budget"]
+        assert budget["stopped"] == "weight_evals"
+        assert budget["weight_evals"] == 327
+        assert budget["charged"] == result.stats["expanded"] == 36
+        assert repr(result.objective) == "0.9880912508173068"
