@@ -25,6 +25,7 @@ Three implementations:
 from __future__ import annotations
 
 import abc
+import copy
 from typing import AbstractSet, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
     "SDCDegradationModel",
     "MatrixDegradationModel",
     "MissRatePressureModel",
+    "RestrictedModel",
 ]
 
 
@@ -111,6 +113,58 @@ class CacheDegradationModel(abc.ABC):
         safe default makes every process unique (no bucketing)."""
         return ("pid", pid)
 
+    def permuted(self, order: Sequence[int]) -> "CacheDegradationModel":
+        """The same model with pids relabelled: pid ``k`` of the result is
+        pid ``order[k]`` of this one.  The default is a
+        :class:`RestrictedModel` view; models with pid-indexed arrays
+        override it to return their own class, so type-specific fast paths
+        (batch kernels, bounds) keep working."""
+        return RestrictedModel(self, tuple(order))
+
+    def pairwise_inflicted(self, real: np.ndarray) -> Optional[np.ndarray]:
+        """Closed form of ``Σ_{j≠i, j real} d_{j,{i}}`` for every real
+        ``i`` (0 where ``real`` is False), or ``None`` when the model has
+        none and callers must loop over :meth:`cache_degradation`.
+        ``real`` is a boolean mask over pids."""
+        return None
+
+
+class RestrictedModel(CacheDegradationModel):
+    """View of a degradation model over a relabelled or reduced pid set.
+
+    ``pid_map[k]`` is the original pid behind pid ``k`` of the view, so
+    degradations (and floors) are evaluated against the original model
+    without copying profile data.  Used for the repair path's reduced
+    sub-problems and as the generic :meth:`CacheDegradationModel.permuted`.
+    """
+
+    def __init__(self, base: CacheDegradationModel, pid_map: Tuple[int, ...]):
+        self.base = base
+        self.pid_map = pid_map  # view pid -> original pid
+
+    def cache_degradation(self, pid, coset):
+        orig = frozenset(self.pid_map[q] for q in coset)
+        return self.base.cache_degradation(self.pid_map[pid], orig)
+
+    def single_time(self, pid):
+        return self.base.single_time(self.pid_map[pid])
+
+    def min_degradation(self, pid, universe, k):
+        orig_universe = [self.pid_map[q] for q in universe]
+        return self.base.min_degradation(self.pid_map[pid], orig_universe, k)
+
+    def is_member_monotone(self):
+        return self.base.is_member_monotone()
+
+    def pressure(self, pid):
+        return self.base.pressure(self.pid_map[pid])
+
+    def interchangeable_key(self, pid):
+        return self.base.interchangeable_key(self.pid_map[pid])
+
+    def permuted(self, order):
+        return RestrictedModel(self.base, tuple(self.pid_map[k] for k in order))
+
 
 class SDCDegradationModel(CacheDegradationModel):
     """Degradations predicted by SDC merge + the Eq. 14-15 time model.
@@ -137,7 +191,6 @@ class SDCDegradationModel(CacheDegradationModel):
         machine: MachineSpec,
         profiles: Mapping[str, "object"],
     ):
-        self.workload = workload
         self.machine = machine
         self.profiles = dict(profiles)
         self._pid_profile: Dict[int, Optional[str]] = {}
@@ -209,6 +262,12 @@ class SDCDegradationModel(CacheDegradationModel):
     def interchangeable_key(self, pid: int):
         # Processes sharing a program profile are exact substitutes.
         return ("profile", self._pid_profile[pid])
+
+    def permuted(self, order: Sequence[int]) -> "SDCDegradationModel":
+        # The memos are keyed by profile names, not pids: share them.
+        out = copy.copy(self)
+        out._pid_profile = {k: self._pid_profile[p] for k, p in enumerate(order)}
+        return out
 
     def clear_caches(self) -> None:
         self._cache.clear()
@@ -312,6 +371,34 @@ class MatrixDegradationModel(CacheDegradationModel):
         if self._single is None:
             return 1.0
         return float(self._single[pid])
+
+    def _covers(self, n: int) -> bool:
+        """True when the pairwise table indexes exactly ``n`` pids."""
+        return self.pairwise is not None and self.pairwise.shape[0] == n
+
+    def permuted(self, order: Sequence[int]) -> CacheDegradationModel:
+        if not self._covers(len(order)):
+            return super().permuted(order)
+        order = np.asarray(order, dtype=np.intp)
+        new_pid = {int(p): k for k, p in enumerate(order)}
+        return MatrixDegradationModel(
+            pairwise=self.pairwise[np.ix_(order, order)],
+            exact={
+                (new_pid[pid], frozenset(new_pid[q] for q in coset)): d
+                for (pid, coset), d in self.exact.items()
+            },
+            single_times=None if self._single is None else self._single[order],
+            n=self.n,
+        )
+
+    def pairwise_inflicted(self, real: np.ndarray) -> Optional[np.ndarray]:
+        """Column sums of the pairwise table over real rows, off the
+        diagonal; ``None`` when ``exact`` overrides may replace entries."""
+        if self.exact or not self._covers(len(real)):
+            return None
+        P = np.where(real[:, None], self.pairwise, 0.0)
+        np.fill_diagonal(P, 0.0)
+        return np.where(real, P.sum(axis=0), 0.0)
 
     def min_degradation(self, pid: int, universe: Sequence[int], k: int) -> float:
         """Additive model: sum of the k smallest pairwise entries.
@@ -517,6 +604,22 @@ class MissRatePressureModel(CacheDegradationModel):
     def interchangeable_key(self, pid: int):
         return ("miss-rate", float(self.miss_rates[pid]))
 
+    def permuted(self, order: Sequence[int]) -> "MissRatePressureModel":
+        order = np.asarray(order, dtype=np.intp)
+        return MissRatePressureModel(
+            self.miss_rates[order],
+            kappa=self.kappa,
+            saturation=self.saturation,
+            single_times=None if self._single is None else self._single[order],
+        )
+
+    def pairwise_inflicted(self, real: np.ndarray) -> np.ndarray:
+        """``κ · φ(m_i) · (M − m_i)``, ``M`` the real pids' miss-rate sum."""
+        m = np.where(real, self.miss_rates, 0.0)
+        return np.where(
+            real, self.kappa * _phi_array(m, self.saturation) * (m.sum() - m), 0.0
+        )
+
     def node_weight_fast(self, members: Sequence[int]) -> float:
         """Σ_i d_{i, T∖i} for node ``T`` — O(|T|), no set machinery.
 
@@ -632,6 +735,24 @@ class AsymmetricContentionModel(CacheDegradationModel):
             return 1.0
         return float(self._single[pid])
 
+    def permuted(self, order: Sequence[int]) -> "AsymmetricContentionModel":
+        order = np.asarray(order, dtype=np.intp)
+        return AsymmetricContentionModel(
+            self.s[order],
+            self.a[order],
+            kappa=self.kappa,
+            saturation=self.saturation,
+            single_times=None if self._single is None else self._single[order],
+        )
+
+    def pairwise_inflicted(self, real: np.ndarray) -> np.ndarray:
+        """``κ · φ(a_i) · (S − s_i)``, ``S`` the real pids' sensitivity sum."""
+        s = np.where(real, self.s, 0.0)
+        a = np.where(real, self.a, 0.0)
+        return np.where(
+            real, self.kappa * _phi_array(a, self.saturation) * (s.sum() - s), 0.0
+        )
+
     def pressure(self, pid: int) -> float:
         """Proxy rank key for approximate trimmed ordering.
 
@@ -678,3 +799,10 @@ class AsymmetricContentionModel(CacheDegradationModel):
         return _kernels.pressure_node_weights(
             self.s, self.a, nodes, self.kappa, self.saturation,
         )
+
+
+def _phi_array(x: np.ndarray, saturation: Optional[float]) -> np.ndarray:
+    """The pressure response φ of the synthetic models, elementwise."""
+    if saturation is None:
+        return x
+    return saturation * (1.0 - np.exp(-x / saturation))

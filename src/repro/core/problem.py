@@ -17,6 +17,7 @@ so solvers can share one problem instance.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import (
     Callable,
@@ -151,6 +152,7 @@ class CoSchedulingProblem:
         self._node_degs_cache: Dict[Tuple[int, ...], Tuple[float, ...]] = {}
         self._deg_tables: Optional[tuple] = None  # see _tables()
         self._extra_cache: Dict[Tuple[int, ...], float] = {}
+        self._impoliteness: Optional[np.ndarray] = None
         self.stats = {"degradation_evals": 0, "node_evals": 0}
         #: Performance instrumentation shared by every layer touching this
         #: problem (weight kernels, successor generation, search phases).
@@ -569,6 +571,85 @@ class CoSchedulingProblem:
 
     # ------------------------------------------------------------------ #
 
+    def impoliteness(self) -> np.ndarray:
+        """PG's impoliteness score of every pid [18]: the mean degradation
+        a process inflicts on each other process in a pairwise co-run,
+        ``Σ_{j≠i} d_{j,{i}} / (n − 1)``.
+
+        Imaginary pids score 0.  Without a communication model the
+        degradation model's closed form
+        (:meth:`~repro.core.degradation.CacheDegradationModel.pairwise_inflicted`)
+        is used where it has one; otherwise the scores come from
+        :meth:`degradation`, one pairwise co-run at a time.  Memoized
+        (read-only array) until :meth:`clear_caches`.
+        """
+        if self._impoliteness is not None:
+            return self._impoliteness
+        n = self.n
+        sums = None
+        if self.comm is None:
+            real = np.array(
+                [not self.workload.is_imaginary(pid) for pid in range(n)],
+                dtype=bool,
+            )
+            sums = self.model.pairwise_inflicted(real)
+        if sums is None:
+            sums = np.zeros(n)
+            for i in range(n):
+                total = 0.0
+                for j in range(n):
+                    if j != i:
+                        total += self.degradation(j, frozenset((i,)))
+                sums[i] = total
+        scores = sums / max(1, n - 1)
+        scores.flags.writeable = False
+        self._impoliteness = scores
+        return scores
+
+    def relabeled(self, order: Sequence[int]) -> "CoSchedulingProblem":
+        """This problem with its pids relabelled: pid ``k`` of the copy is
+        pid ``order[k]`` here.
+
+        For homogeneous, serial-only problems without a communication
+        model or node extra costs.  ``order`` must keep the imaginary
+        padding at the tail.  The copy shares :attr:`counters` and
+        :attr:`stats` with this problem, so profiles, tracer events and
+        weight-evaluation budgets see the work done on it; its memos are
+        its own.
+        """
+        wl = self.workload
+        if (
+            self.is_scenario
+            or self.comm is not None
+            or self.node_extra_cost is not None
+            or wl.parallel_jobs
+        ):
+            raise ValueError(
+                "relabeled() needs a homogeneous, serial-only problem "
+                "without a communication model or node extra costs"
+            )
+        order = [int(pid) for pid in order]
+        if sorted(order) != list(range(self.n)) or any(
+            wl.is_imaginary(pid) for pid in order[: wl.n_real]
+        ):
+            raise ValueError(
+                "order must be a permutation of the pids that keeps the "
+                "imaginary padding at the tail"
+            )
+        jobs = [
+            dataclasses.replace(wl.job_of(pid), job_id=k)
+            for k, pid in enumerate(order[: wl.n_real])
+        ]
+        twin = CoSchedulingProblem(
+            Workload(jobs, cores_per_machine=self.u if wl.n_imaginary else None),
+            self.cluster,
+            self.model.permuted(order),
+            machine_scaling=self.machine_scale,
+        )
+        twin.counters = self.counters
+        twin.stats = self.stats
+        return twin
+
     def min_process_degradation(self, pid: int) -> float:
         """Admissible floor on ``d_{pid,S}`` over every possible coset.
 
@@ -637,6 +718,7 @@ class CoSchedulingProblem:
         self._deg_tables = None
         self._extra_cache.clear()
         self._machine_node_cache.clear()
+        self._impoliteness = None
         self.model.clear_caches()
         self.stats = {"degradation_evals": 0, "node_evals": 0}
         self.counters.reset()

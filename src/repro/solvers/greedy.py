@@ -38,19 +38,10 @@ class PolitenessGreedy(Solver):
 
     def _solve(self, problem: CoSchedulingProblem) -> SolveResult:
         n, u = problem.n, problem.u
-        deg = problem.degradation
-
-        # Politeness: negative of the average degradation a process inflicts
-        # on every other process in a pairwise co-run.  Impoliteness is the
-        # positive counterpart used for ordering.
-        inflicted = np.zeros(n)
-        for i in range(n):
-            total = 0.0
-            for j in range(n):
-                if j != i:
-                    total += deg(j, frozenset((i,)))
-            inflicted[i] = total / max(1, n - 1)
-
+        # Politeness is the negative of the average degradation a process
+        # inflicts on every other process in a pairwise co-run; its positive
+        # counterpart, impoliteness, orders the processes.
+        inflicted = problem.impoliteness()
         unassigned = sorted(range(n), key=lambda p: (-inflicted[p], p))
         if problem.is_scenario:
             by_machine: List[List[int]] = [[] for _ in range(problem.n_machines)]

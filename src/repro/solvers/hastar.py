@@ -6,13 +6,26 @@ derived Maximum Effective Rank bound (Fig. 5 shows the optimal path's
 effective rank stays within ``n/u`` for ≳98% of random instances, so the
 trimmed search is near-optimal while examining orders of magnitude fewer
 nodes).
+
+The paper never fixes the process order, yet it shapes the trimmed search:
+a level is keyed by its smallest unplaced pid, so with an arbitrary order
+early levels use up the politest partners and later levels pay for it.
+HA* therefore searches the levels most-impolite first — PG's order
+(:meth:`~repro.core.problem.CoSchedulingProblem.impoliteness` descending,
+pid breaking ties) — by solving a relabelled copy of the problem and
+mapping the schedule back, so its answer does not depend on how the
+caller labelled the jobs.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
+from ..core.objective import evaluate_schedule
+from ..core.problem import CoSchedulingProblem
+from ..core.schedule import CoSchedule
 from .astar_core import AStarSearch
+from .base import SolveResult
 
 __all__ = ["HAStar"]
 
@@ -49,3 +62,33 @@ class HAStar(AStarSearch):
             beam_width=beam_width,
             max_expansions=max_expansions,
         )
+
+    def _solve(self, problem: CoSchedulingProblem) -> SolveResult:
+        order = level_order(problem)
+        if order is None:
+            return super()._solve(problem)
+        result = super()._solve(problem.relabeled(order))
+        if result.schedule is not None:
+            result.schedule = CoSchedule.from_groups(
+                [[order[pid] for pid in group] for group in result.schedule.groups],
+                u=problem.u, n=problem.n,
+            )
+            result.objective = evaluate_schedule(problem, result.schedule).objective
+        return result
+
+
+def level_order(problem: CoSchedulingProblem) -> Optional[List[int]]:
+    """HA*'s level order for ``problem``: pids by impoliteness descending,
+    pid breaking ties.  ``None`` where the search keeps pid order —
+    scenario, parallel, communication and node-extra-cost problems — or
+    where the order already is pid order."""
+    if (
+        problem.is_scenario
+        or problem.comm is not None
+        or problem.node_extra_cost is not None
+        or problem.workload.parallel_jobs
+    ):
+        return None
+    score = problem.impoliteness()
+    order = sorted(range(problem.n), key=lambda pid: (-score[pid], pid))
+    return None if order == list(range(problem.n)) else order

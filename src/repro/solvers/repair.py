@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..core.degradation import CacheDegradationModel
+from ..core.degradation import RestrictedModel
 from ..core.jobs import JobKind, Workload, serial_job
 from ..core.objective import evaluate_schedule
 from ..core.problem import CoSchedulingProblem
@@ -41,39 +41,6 @@ from .base import Solver, SolveResult
 from .greedy import PolitenessGreedy
 
 __all__ = ["RepairSolver", "RestrictedModel"]
-
-
-class RestrictedModel(CacheDegradationModel):
-    """View of a degradation model over a subset of the original pids.
-
-    The reduced sub-problem relabels the surviving pids densely; this
-    adapter maps them back so degradations (and floors) are evaluated
-    against the original model without copying profile data.
-    """
-
-    def __init__(self, base: CacheDegradationModel, pid_map: Tuple[int, ...]):
-        self.base = base
-        self.pid_map = pid_map  # reduced pid -> original pid
-
-    def cache_degradation(self, pid, coset):
-        orig = frozenset(self.pid_map[q] for q in coset)
-        return self.base.cache_degradation(self.pid_map[pid], orig)
-
-    def single_time(self, pid):
-        return self.base.single_time(self.pid_map[pid])
-
-    def min_degradation(self, pid, universe, k):
-        orig_universe = [self.pid_map[q] for q in universe]
-        return self.base.min_degradation(self.pid_map[pid], orig_universe, k)
-
-    def is_member_monotone(self):
-        return self.base.is_member_monotone()
-
-    def pressure(self, pid):
-        return self.base.pressure(self.pid_map[pid])
-
-    def interchangeable_key(self, pid):
-        return self.base.interchangeable_key(self.pid_map[pid])
 
 
 def _complete_groups(fragments: Sequence[Sequence[int]],
