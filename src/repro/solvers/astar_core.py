@@ -25,6 +25,16 @@ Two extensions over textbook A*:
 
 * **parallel-aware path distance** (Section III-C2, Eq. 13): g is maintained
   incrementally as ``serial_sum + Σ_j running_max_j``.
+
+One best-first loop serves every problem.  What differs between search
+spaces is a :class:`SuccessorSource` — which groups a state may take next
+and what each costs, the heuristic, and how a finished path becomes a
+schedule.  Homogeneous problems walk the graph's levels
+(:func:`graph_source`, over :class:`~repro.graph.levels.SuccessorGenerator`);
+scenario problems walk the canonical machine slot plan
+(:func:`repro.solvers.het_search.slot_plan_source`).  The loop owns the
+heap, the interned state table, dismissal, budgets and the anytime
+completion, the warm-start bound, tracer events and the result.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ import itertools
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.jobs import JobKind
 from ..core.objective import evaluate_schedule
@@ -61,7 +71,7 @@ class _Record:
     g: float
     node: Optional[Tuple[int, ...]]  # node appended to reach this state
     parent: Optional["_Record"]
-    mask: int = 0  # scheduled-pid bitmask — the interned state identity
+    mask: int = 0  # scheduled-pid bitmask
     floor_serial_rest: float = 0.0  # Σ dmin over unscheduled serial pids
     bal_a: float = 0.0   # Σ pressure over unscheduled (balance bound)
     bal_a2: float = 0.0  # Σ pressure² over unscheduled
@@ -71,6 +81,79 @@ class _Record:
     stream: object = None
     pending: object = None
     h_tail: float = 0.0
+
+
+@dataclass
+class SuccessorSource:
+    """One search space, as the best-first loop sees it.
+
+    ``successors(rec, limit)`` lists the ``(node, weight)`` pairs that
+    expand ``rec`` — the ``limit`` cheapest when ``limit`` is set; on
+    serial-only problems ``weight`` is the node's whole g-increment.
+    ``h(rec)`` is an admissible estimate of the remaining distance,
+    ``depth(rec)`` the level (or slot) ``rec`` has reached,
+    ``cheapest(unscheduled)`` the node a greedy completion appends next
+    (``None`` at a dead end), and ``schedule(nodes)`` the schedule of a
+    complete path.  ``dmin`` holds per-process admissible floors (zeros
+    when the floor is off) and ``stats`` the ``generated`` /
+    ``condensed_away`` node counts.
+
+    Optional parts: ``keys_leader(rec)`` — ``rec``'s children are told
+    apart by their node's leader as well as their pid set;
+    ``pressures`` — the per-process pressures the balance bound tracks;
+    ``stream(rec)`` — an ascending-weight successor iterator and the
+    admissible tail h, which enables partial expansion.
+    """
+
+    successors: Callable
+    h: Callable
+    depth: Callable
+    cheapest: Callable
+    schedule: Callable
+    dmin: List[float]
+    stats: Dict[str, int]
+    keys_leader: Optional[Callable] = None
+    pressures: Optional[List[float]] = None
+    stream: Optional[Callable] = None
+
+
+def process_floors(problem: CoSchedulingProblem, on: bool) -> List[float]:
+    """Each process's admissible degradation floor, or zeros when ``on``
+    is false."""
+    if not on:
+        return [0.0] * problem.n
+    with problem.counters.phase("process_floors"):
+        return [problem.min_process_degradation(pid) for pid in range(problem.n)]
+
+
+def greedy_complete(
+    source: SuccessorSource,
+    nodes: Sequence[Tuple[int, ...]],
+    unscheduled: Tuple[int, ...],
+) -> Optional[List[Tuple[int, ...]]]:
+    """Extend the path ``nodes`` by ``source``'s cheapest next node until
+    every process is placed — the anytime fallback when a budget trips
+    mid-search.  ``None`` only at a dead end, which a well-formed instance
+    never reaches."""
+    nodes = list(nodes)
+    while unscheduled:
+        node = source.cheapest(unscheduled)
+        if node is None:
+            return None
+        nodes.append(node)
+        members = frozenset(node)
+        unscheduled = tuple(p for p in unscheduled if p not in members)
+    return nodes
+
+
+def _path(rec: _Record) -> List[Tuple[int, ...]]:
+    """The nodes of ``rec``'s path, root first."""
+    nodes = []
+    while rec is not None and rec.node is not None:
+        nodes.append(rec.node)
+        rec = rec.parent
+    nodes.reverse()
+    return nodes
 
 
 def _dominates(a: _Record, b: _Record) -> bool:
@@ -91,6 +174,138 @@ def _dominates_by(a_serial: float, a_max, b_serial: float, b_max) -> bool:
     return slack <= _EPS
 
 
+def graph_source(search: "AStarSearch",
+                 problem: CoSchedulingProblem) -> SuccessorSource:
+    """The co-scheduling graph (Fig. 3) as a successor source.
+
+    A state expands into the valid nodes of its smallest unscheduled pid's
+    level.  h is the max of the level-based estimate (Section III-D) and,
+    with ``process_floor``, the per-process floors, the balance bound and
+    the u = 2 matching bound — all lower bounds on the remaining distance,
+    so their max is too.
+    """
+    n, u = problem.n, problem.u
+    wl = problem.workload
+    gen = SuccessorGenerator(
+        problem,
+        condense_pe=search.condense_pe,
+        condense_pc=search.condense,
+    )
+    estimator: Optional[HeuristicEstimator] = None
+    if search.h_strategy in (1, 2):
+        estimator = HeuristicEstimator(
+            problem,
+            strategy=search.h_strategy,
+            h_parallel=search.h_parallel,
+        )
+    process_floor = search.process_floor
+    dmin = process_floors(problem, process_floor)
+    # Any remaining process's floor bounds its job's final max from below;
+    # the min over the job's processes is safe for every non-empty
+    # remainder.
+    par_jobs = [j.job_id for j in wl.parallel_jobs]
+    job_floor = [min(dmin[p] for p in wl.processes_of(jid)) for jid in par_jobs]
+
+    def h_floor(rec: _Record) -> float:
+        total = rec.floor_serial_rest
+        par_max, par_remaining = rec.par_max, rec.par_remaining
+        for k, floor in enumerate(job_floor):
+            if par_remaining[k] > 0 and floor > par_max[k]:
+                total += floor - par_max[k]
+        return total
+
+    # Balance bound (pressure models, serial-only): the completion
+    # partitions the unscheduled pressures into equal-size groups, and
+    # Σ_T σ_T² >= A²/m with the linear chord under-estimating φ, giving
+    #   h >= κ · slope · (A²/m − Σ a²)          (admissible, O(1)/state).
+    from ..core.degradation import MissRatePressureModel as _MRPM
+
+    use_balance = (
+        process_floor and isinstance(problem.model, _MRPM) and not par_jobs
+    )
+    pressures: Optional[List[float]] = None
+    bal_slope = 1.0
+    if use_balance:
+        model = problem.model
+        pressures = [
+            0.0 if wl.is_imaginary(pid) else float(model.miss_rates[pid])
+            for pid in range(n)
+        ]
+        x_max = sum(sorted(pressures, reverse=True)[: u - 1])
+        bal_slope = model.phi_min_slope(x_max) * model.kappa
+
+    def h_balance(bal_a: float, bal_a2: float, n_unsched: int) -> float:
+        if not use_balance:
+            return 0.0
+        m_groups = n_unsched // u
+        if m_groups == 0:
+            return 0.0
+        return max(0.0, bal_slope * (bal_a * bal_a / m_groups - bal_a2))
+
+    def h_matching(unscheduled: Tuple[int, ...]) -> float:
+        """u = 2 only: the completion is a perfect matching, and for
+        the pressure model the minimum pair-product sum has a closed
+        form — sort pressures and pair outside-in (rearrangement
+        inequality).  Exact for linear φ; the chord slope keeps it
+        admissible for saturating φ."""
+        vals = sorted(pressures[p] for p in unscheduled)
+        total = 0.0
+        i, j = 0, len(vals) - 1
+        while i < j:
+            total += vals[i] * vals[j]
+            i += 1
+            j -= 1
+        return 2.0 * bal_slope * total
+
+    use_matching = use_balance and u == 2
+
+    def h(rec: _Record) -> float:
+        value = estimator.h(rec.unscheduled) if estimator else 0.0
+        if process_floor:
+            value = max(
+                value,
+                h_floor(rec),
+                h_balance(rec.bal_a, rec.bal_a2, len(rec.unscheduled)),
+            )
+            if use_matching:
+                value = max(value, h_matching(rec.unscheduled))
+        return value
+
+    def cheapest(unscheduled: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
+        succ = gen.successors(unscheduled, limit=1)
+        return succ[0][0] if succ else None
+
+    # Partial expansion (PEA*-style): pop a state, materialize only the
+    # next batch of its successors (they stream in ascending weight for
+    # monotone models), and re-insert the state priced at its next
+    # un-generated successor.  Exact, and the only way to search levels
+    # whose node counts are astronomically large.
+    stream = None
+    if (
+        search.partial_expansion
+        and search.node_limit_fraction is None
+        and gen.supports_stream()
+        and estimator is not None
+        and search.h_strategy == 2
+    ):
+        def stream(rec: _Record):
+            return (gen.successors_stream(rec.unscheduled),
+                    estimator.h_tail(rec.unscheduled))
+
+    return SuccessorSource(
+        successors=lambda rec, limit: gen.successors(rec.unscheduled,
+                                                     limit=limit),
+        h=h,
+        depth=lambda rec: (n - len(rec.unscheduled)) // u,
+        cheapest=cheapest,
+        schedule=lambda nodes: CoSchedule.from_groups(nodes, u=u, n=n),
+        dmin=dmin,
+        stats=gen.stats,
+        pressures=pressures,
+        stream=stream,
+    )
+
+
 class AStarSearch(Solver):
     """Configurable extended A* over the co-scheduling graph.
 
@@ -102,9 +317,9 @@ class AStarSearch(Solver):
         0 — no heuristic (uniform-cost / Dijkstra-like, used by O-SVP);
         1 or 2 — the paper's Strategy 1 / Strategy 2 (Section III-D).
     node_limit_fraction:
-        ``None`` for the exact search; a float ``c`` makes the search attempt
-        only the ``ceil(c)``… — concretely HA* passes 1.0 meaning the first
-        ``n/u`` lowest-weight valid nodes per level (Section IV's MER rule).
+        ``None`` for the exact search; a float ``c`` makes each expansion
+        attempt only the ``ceil(c · n_machines)`` lowest-weight valid nodes
+        — HA* passes 1.0, the paper's ``n/u`` MER rule (Section IV).
         Values > 1 widen the beam proportionally.
     dismiss:
         ``"dominance"`` (exact, default) or ``"paper"`` (published rule).
@@ -113,6 +328,9 @@ class AStarSearch(Solver):
         (PE bucketing is exact and always on unless ``condense_pe=False``).
     h_parallel:
         Forwarded to :class:`~repro.graph.levels.HeuristicEstimator`.
+    beam_width:
+        Switch to a layered beam search keeping the best ``beam_width``
+        states per level (per machine slot on scenario problems).
     """
 
     scenario_capabilities = frozenset({"heterogeneous", "constraints"})
@@ -129,7 +347,6 @@ class AStarSearch(Solver):
         process_floor: bool = True,
         partial_expansion: bool = True,
         beam_width: Optional[int] = None,
-        max_expansions: Optional[int] = None,
     ):
         if h_strategy not in (0, 1, 2):
             raise ValueError("h_strategy must be 0, 1 or 2")
@@ -149,18 +366,22 @@ class AStarSearch(Solver):
         if beam_width is not None and beam_width < 1:
             raise ValueError("beam_width must be >= 1")
         self.beam_width = beam_width
-        self.max_expansions = max_expansions
 
     # ------------------------------------------------------------------ #
 
     def _solve(self, problem: CoSchedulingProblem) -> SolveResult:
         if problem.required_capabilities():
             # Heterogeneous rosters / constraints break the homogeneous
-            # level coding; the scenario engine owns that search space.
-            from .het_search import solve_het
+            # level coding; the scenario source walks machine slots.
+            from . import het_search
 
-            return solve_het(self, problem)
-        n, u = problem.n, problem.u
+            return het_search.solve_het(self, problem)
+        return self._search(problem, graph_source(self, problem))
+
+    def _search(self, problem: CoSchedulingProblem,
+                source: SuccessorSource) -> SolveResult:
+        """The best-first loop over ``source``'s search space."""
+        n = problem.n
         wl = problem.workload
         par_jobs = [j.job_id for j in wl.parallel_jobs]
         par_index = {jid: k for k, jid in enumerate(par_jobs)}
@@ -173,109 +394,17 @@ class AStarSearch(Solver):
         imaginary = [wl.is_imaginary(pid) for pid in range(n)]
 
         perf = problem.counters
-        gen = SuccessorGenerator(
-            problem,
-            condense_pe=self.condense_pe,
-            condense_pc=self.condense,
-        )
-        estimator: Optional[HeuristicEstimator] = None
-        if self.h_strategy in (1, 2):
-            estimator = HeuristicEstimator(
-                problem,
-                strategy=self.h_strategy,
-                h_parallel=self.h_parallel,
-            )
+        dmin = source.dmin
+        pressures = source.pressures
+        use_balance = pressures is not None
+        h = source.h
+        keys_leader = source.keys_leader
 
         node_limit: Optional[int] = None
         if self.node_limit_fraction is not None:
-            node_limit = max(1, math.ceil(self.node_limit_fraction * n / u))
-
-        # Partial expansion (PEA*-style): pop a state, materialize only the
-        # next batch of its successors (they stream in ascending weight for
-        # monotone models), and re-insert the state priced at its next
-        # un-generated successor.  Exact, and the only way to search levels
-        # whose node counts are astronomically large.
-        partial = (
-            self.partial_expansion
-            and node_limit is None
-            and gen.supports_stream()
-            and estimator is not None
-            and self.h_strategy == 2
-        )
-
-        # Per-process admissible floors (the second heuristic, combined with
-        # the level-based h via max — both are lower bounds on the remaining
-        # distance, so their max is too).
-        dmin = [0.0] * n
-        job_floor = {jid: 0.0 for jid in par_jobs}
-        floor_serial_total = 0.0
-        if self.process_floor:
-            with perf.phase("process_floors"):
-                for pid in range(n):
-                    dmin[pid] = problem.min_process_degradation(pid)
-                    if kinds[pid] is JobKind.SERIAL:
-                        if not wl.is_imaginary(pid):
-                            floor_serial_total += dmin[pid]
-                for jid in par_jobs:
-                    procs = wl.processes_of(jid)
-                    # Any remaining process's floor bounds the job's final
-                    # max from below; the min over the job's processes is
-                    # safe for every non-empty remainder.
-                    job_floor[jid] = min(dmin[p] for p in procs)
-
-        def h_floor(rec_floor_serial: float, par_max, par_remaining) -> float:
-            total = rec_floor_serial
-            for k, jid in enumerate(par_jobs):
-                if par_remaining[k] > 0 and job_floor[jid] > par_max[k]:
-                    total += job_floor[jid] - par_max[k]
-            return total
-
-        # Balance bound (pressure models, serial-only): the completion
-        # partitions the unscheduled pressures into equal-size groups, and
-        # Σ_T σ_T² >= A²/m with the linear chord under-estimating φ, giving
-        #   h >= κ · slope · (A²/m − Σ a²)          (admissible, O(1)/state).
-        from ..core.degradation import MissRatePressureModel as _MRPM
-
-        use_balance = (
-            self.process_floor
-            and isinstance(problem.model, _MRPM)
-            and not par_jobs
-        )
-        pressures = [0.0] * n
-        bal_slope = 1.0
-        if use_balance:
-            model = problem.model
-            pressures = [
-                0.0 if wl.is_imaginary(pid) else float(model.miss_rates[pid])
-                for pid in range(n)
-            ]
-            x_max = sum(sorted(pressures, reverse=True)[: u - 1])
-            bal_slope = model.phi_min_slope(x_max) * model.kappa
-
-        def h_balance(bal_a: float, bal_a2: float, n_unsched: int) -> float:
-            if not use_balance or n_unsched == 0:
-                return 0.0
-            m_groups = n_unsched // u
-            if m_groups == 0:
-                return 0.0
-            return max(0.0, bal_slope * (bal_a * bal_a / m_groups - bal_a2))
-
-        def h_matching(unscheduled: Tuple[int, ...]) -> float:
-            """u = 2 only: the completion is a perfect matching, and for
-            the pressure model the minimum pair-product sum has a closed
-            form — sort pressures and pair outside-in (rearrangement
-            inequality).  Exact for linear φ; the chord slope keeps it
-            admissible for saturating φ."""
-            vals = sorted(pressures[p] for p in unscheduled)
-            total = 0.0
-            i, j = 0, len(vals) - 1
-            while i < j:
-                total += vals[i] * vals[j]
-                i += 1
-                j -= 1
-            return 2.0 * bal_slope * total
-
-        use_matching = use_balance and u == 2
+            node_limit = max(
+                1, math.ceil(self.node_limit_fraction * problem.n_machines)
+            )
 
         budget = self._active_budget()
         tracer = perf.tracer
@@ -288,37 +417,42 @@ class AStarSearch(Solver):
             g=0.0,
             node=None,
             parent=None,
-            floor_serial_rest=floor_serial_total,
-            bal_a=sum(pressures),
-            bal_a2=sum(p * p for p in pressures),
-            mask=0,
+            floor_serial_rest=sum(
+                (dmin[pid] for pid in range(n)
+                 if kinds[pid] is JobKind.SERIAL and not imaginary[pid]),
+                0.0,
+            ),
+            bal_a=sum(pressures) if use_balance else 0.0,
+            bal_a2=sum(p * p for p in pressures) if use_balance else 0.0,
         )
         # Interned state keys.  A state's identity is its scheduled-pid
         # bitmask (one Python int, incrementally OR-able and far cheaper to
-        # hash than an unscheduled tuple); masks are interned to dense ids
-        # on first sight, and per-state bookkeeping lives in flat sequences
-        # indexed by id — a packed ``array('d')`` of best-known g for the
-        # serial dismissal test, record buckets for the dominance frontier.
-        # The dict-of-int intern table is the only hash lookup per
-        # candidate, and the dismissal test runs before any tuple is built.
+        # hash than an unscheduled tuple) — plus, where the source keys
+        # children on their leader, ``(leader + 1) << n``.  Keys are
+        # interned to dense ids on first sight, and per-state bookkeeping
+        # lives in flat sequences indexed by id — a packed ``array('d')``
+        # of best-known g for the serial dismissal test, record buckets
+        # for the dominance frontier.  The dict-of-int intern table is the
+        # only hash lookup per candidate, and the dismissal test runs
+        # before any tuple is built.
         pid_bit = [1 << pid for pid in range(n)]
         state_ids: Dict[int, int] = {0: 0}
         buckets: List[List[_Record]] = [[root]]
         best_g = array("d", [0.0])
         counter = itertools.count()
-        h0 = estimator.h(root.unscheduled) if estimator else 0.0
-        h0 = max(h0, h_floor(root.floor_serial_rest, root.par_max,
-                             root.par_remaining),
-                 h_balance(root.bal_a, root.bal_a2, n))
-        if use_matching:
-            h0 = max(h0, h_matching(root.unscheduled))
+        h0 = h(root)
         heap: List[Tuple[float, int, _Record]] = [(root.g + h0, next(counter), root)]
         if tracer is not None:
             tracer.emit("bound", solver=self.name, kind="root_h", value=h0)
 
+        # The warm-start incumbent bounds the search: once the popped f
+        # reaches it, nothing left can beat it (h is admissible).
+        incumbent = self._warm_schedule
+        bound = math.inf
+        if incumbent is not None:
+            bound = evaluate_schedule(problem, incumbent).objective
+
         expanded = 0
-        pushed = 1
-        dismissed = 0
         resumes = 0
         goal: Optional[_Record] = None
         # Best partial path at the moment a budget limit trips — the anytime
@@ -326,71 +460,17 @@ class AStarSearch(Solver):
         anytime_rec: Optional[_Record] = None
         stopped: Optional[str] = None
         max_depth = -1
-        counters = {"pushed": pushed, "dismissed": dismissed}
+        counters = {"pushed": 1, "dismissed": 0}
 
         serial_only = not par_jobs
         node_degradations = problem.node_degradations
 
         def make_child(rec: _Record, node: Tuple[int, ...],
-                       node_w: Optional[float] = None) -> Optional[_Record]:
-            """Build the child record for expanding ``rec`` with ``node``,
-            applying the dismiss strategy; None if the child is dismissed.
-
-            ``node_w`` is the precomputed node weight from the successor
-            generator; for serial-only workloads it already equals the
-            node's full g-increment (member degradations + extra cost), so
-            the per-member degradation lookups are skipped entirely."""
-            node_mask = 0
-            for pid in node:
-                node_mask |= pid_bit[pid]
-            mask = rec.mask | node_mask
-            if serial_only and node_w is not None:
-                # Fast path: the node weight IS the g-increment, and the
-                # state key is one OR over interned masks — so the
-                # dismissal test runs before any tuple or record is built.
-                # The overwhelming majority of candidates die right here.
-                g = rec.serial_sum + node_w
-                sid = state_ids.get(mask)
-                if sid is None:
-                    sid = len(buckets)
-                    state_ids[mask] = sid
-                    buckets.append([])
-                    best_g.append(math.inf)
-                elif best_g[sid] <= g + _EPS:
-                    counters["dismissed"] += 1
-                    return None
-                floor_serial_rest = rec.floor_serial_rest
-                bal_a, bal_a2 = rec.bal_a, rec.bal_a2
-                for pid in node:
-                    if use_balance:
-                        p = pressures[pid]
-                        bal_a -= p
-                        bal_a2 -= p * p
-                    floor_serial_rest -= dmin[pid]
-                cand = _Record(
-                    unscheduled=tuple(
-                        p for p in rec.unscheduled
-                        if not node_mask & pid_bit[p]
-                    ),
-                    serial_sum=g,
-                    par_max=rec.par_max,
-                    par_remaining=rec.par_remaining,
-                    g=g,
-                    node=node,
-                    parent=rec,
-                    floor_serial_rest=floor_serial_rest,
-                    bal_a=bal_a,
-                    bal_a2=bal_a2,
-                    mask=mask,
-                )
-                best_g[sid] = g
-                bucket = buckets[sid]
-                if bucket:
-                    bucket[0].alive = False
-                    bucket[0] = cand
-                else:
-                    bucket.append(cand)
-                return cand
+                       mask: int, key: int) -> Optional[_Record]:
+            """The child record for expanding ``rec`` with ``node`` on a
+            workload with parallel jobs, applying the dismiss strategy;
+            None if the child is dismissed.  ``mask`` is the child's
+            scheduled-pid mask, ``key`` its state key."""
             par_max = list(rec.par_max)
             par_remaining = list(rec.par_remaining)
             floor_serial_rest = rec.floor_serial_rest
@@ -420,10 +500,10 @@ class AStarSearch(Solver):
 
             # Dismissal first: most candidates die here, before their
             # unscheduled tuple and record are built.
-            sid = state_ids.get(mask)
+            sid = state_ids.get(key)
             if sid is None:
                 sid = len(buckets)
-                state_ids[mask] = sid
+                state_ids[key] = sid
                 buckets.append([])
                 best_g.append(math.inf)
             bucket = buckets[sid]
@@ -441,7 +521,7 @@ class AStarSearch(Solver):
                 return None
             cand = _Record(
                 unscheduled=tuple(
-                    p for p in rec.unscheduled if not node_mask & pid_bit[p]
+                    p for p in rec.unscheduled if not mask & pid_bit[p]
                 ),
                 serial_sum=serial_sum,
                 par_max=tuple(par_max),
@@ -469,33 +549,95 @@ class AStarSearch(Solver):
                 bucket.append(cand)
             return cand
 
-        def child_h(cand: _Record) -> float:
-            h = estimator.h(cand.unscheduled) if estimator else 0.0
-            if self.process_floor:
-                h = max(
-                    h,
-                    h_floor(cand.floor_serial_rest, cand.par_max,
-                            cand.par_remaining),
-                    h_balance(cand.bal_a, cand.bal_a2, len(cand.unscheduled)),
+        def expand(rec: _Record, nodes) -> List[_Record]:
+            """The children of ``rec`` over ``(node, weight)`` pairs that
+            survive dismissal, in ``nodes`` order."""
+            keyed = keys_leader is not None and keys_leader(rec)
+            out = []
+            rec_mask = rec.mask
+            if not serial_only:
+                for node, _w in nodes:
+                    mask = rec_mask
+                    for pid in node:
+                        mask |= pid_bit[pid]
+                    cand = make_child(
+                        rec, node, mask,
+                        mask | ((node[0] + 1) << n) if keyed else mask,
+                    )
+                    if cand is not None:
+                        out.append(cand)
+                counters["pushed"] += len(out)
+                return out
+            # Serial-only: the node weight IS the g-increment, and the
+            # state key is one OR over interned masks — so the dismissal
+            # test runs before any tuple or record is built.  The
+            # overwhelming majority of candidates die right here.
+            base_g = rec.serial_sum
+            dismissed = 0
+            for node, node_w in nodes:
+                mask = rec_mask
+                for pid in node:
+                    mask |= pid_bit[pid]
+                key = mask | ((node[0] + 1) << n) if keyed else mask
+                g = base_g + node_w
+                sid = state_ids.get(key)
+                if sid is None:
+                    sid = len(buckets)
+                    state_ids[key] = sid
+                    buckets.append([])
+                    best_g.append(math.inf)
+                elif best_g[sid] <= g + _EPS:
+                    dismissed += 1
+                    continue
+                floor_serial_rest = rec.floor_serial_rest
+                bal_a, bal_a2 = rec.bal_a, rec.bal_a2
+                for pid in node:
+                    if use_balance:
+                        p = pressures[pid]
+                        bal_a -= p
+                        bal_a2 -= p * p
+                    floor_serial_rest -= dmin[pid]
+                cand = _Record(
+                    unscheduled=tuple(
+                        p for p in rec.unscheduled if not mask & pid_bit[p]
+                    ),
+                    serial_sum=g,
+                    par_max=rec.par_max,
+                    par_remaining=rec.par_remaining,
+                    g=g,
+                    node=node,
+                    parent=rec,
+                    floor_serial_rest=floor_serial_rest,
+                    bal_a=bal_a,
+                    bal_a2=bal_a2,
+                    mask=mask,
                 )
-                if use_matching:
-                    h = max(h, h_matching(cand.unscheduled))
-            return h
+                best_g[sid] = g
+                bucket = buckets[sid]
+                if bucket:
+                    bucket[0].alive = False
+                    bucket[0] = cand
+                else:
+                    bucket.append(cand)
+                out.append(cand)
+            counters["dismissed"] += dismissed
+            counters["pushed"] += len(out)
+            return out
 
-        anytime_schedule: Optional[CoSchedule] = None
         with perf.phase("search"):
             if self.beam_width is not None:
                 goal, expanded, stopped, anytime_rec = self._beam_search(
-                    root, gen, make_child, child_h, node_limit, counters,
-                    budget,
+                    root, source, expand, node_limit, budget,
                 )
             else:
-                # Best-first A* over the whole graph.
+                # Best-first A* over the whole search space.
                 while heap:
                     _f, _tie, rec = heapq.heappop(heap)
                     perf.incr("heap_pops")
                     if not rec.alive:
                         continue
+                    if _f >= bound:
+                        break
                     if not rec.unscheduled:
                         goal = rec
                         if tracer is not None:
@@ -513,16 +655,8 @@ class AStarSearch(Solver):
                         break
                     expanded += 1
                     budget.charge()
-                    if (
-                        self.max_expansions is not None
-                        and expanded > self.max_expansions
-                    ):
-                        raise RuntimeError(
-                            f"{self.name}: exceeded "
-                            f"max_expansions={self.max_expansions}"
-                        )
                     if tracer is not None:
-                        depth = (n - len(rec.unscheduled)) // u
+                        depth = source.depth(rec)
                         if depth > max_depth:
                             max_depth = depth
                             tracer.emit(
@@ -535,13 +669,10 @@ class AStarSearch(Solver):
                         )
                         dismissed_before = counters["dismissed"]
 
-                    if partial:
+                    if source.stream is not None:
                         if rec.stream is None:
-                            rec.stream = gen.successors_stream(
-                                rec.unscheduled
-                            )
+                            rec.stream, rec.h_tail = source.stream(rec)
                             rec.pending = next(rec.stream, None)
-                            rec.h_tail = estimator.h_tail(rec.unscheduled)
                         batch_nodes = []
                         while (
                             rec.pending is not None
@@ -557,19 +688,12 @@ class AStarSearch(Solver):
                             )
                         successor_nodes = batch_nodes
                     else:
-                        successor_nodes = gen.successors(
-                            rec.unscheduled, limit=node_limit
-                        )
+                        successor_nodes = source.successors(rec, node_limit)
 
-                    for node, node_w in successor_nodes:
-                        cand = make_child(rec, node, node_w)
-                        if cand is None:
-                            continue
+                    for cand in expand(rec, successor_nodes):
                         heapq.heappush(
-                            heap,
-                            (cand.g + child_h(cand), next(counter), cand),
+                            heap, (cand.g + h(cand), next(counter), cand),
                         )
-                        counters["pushed"] += 1
                     if tracer is not None:
                         newly = counters["dismissed"] - dismissed_before
                         if newly:
@@ -577,118 +701,65 @@ class AStarSearch(Solver):
                                 "dismiss", solver=self.name,
                                 count=newly, expanded=expanded,
                             )
-        if goal is None and anytime_rec is not None:
-            # Budget exhausted mid-search: finish the best partial path
-            # by repeatedly taking the cheapest valid node.  Greedy, so
-            # never better than the optimum — but always a *valid*
-            # schedule, which is the anytime contract.
-            with perf.phase("budget_completion"):
-                anytime_schedule = self._greedy_complete(
-                    problem, gen, anytime_rec
-                )
         perf.incr("heap_pushes", counters["pushed"] + resumes)
-        pushed = counters["pushed"]
-        dismissed = counters["dismissed"]
         if stopped is not None and tracer is not None:
             tracer.emit(
                 "budget_stop", solver=self.name, reason=stopped,
                 expanded=expanded,
             )
 
-        if goal is None:
-            if anytime_schedule is not None:
-                ev = evaluate_schedule(problem, anytime_schedule)
+        stats = {
+            "expanded": expanded,
+            "visited_paths": counters["pushed"],
+            "dismissed": counters["dismissed"],
+            "nodes_generated": source.stats["generated"],
+            "condensed_away": source.stats["condensed_away"],
+            "partial_resumes": resumes,
+        }
+        schedule: Optional[CoSchedule] = None
+        objective = math.inf
+        if goal is not None:
+            schedule = source.schedule(_path(goal))
+            objective = goal.g
+            # Sanity: every parallel job fully placed.
+            for jid, size in par_sizes.items():
+                placed = sum(
+                    1 for grp in schedule.groups for pid in grp
+                    if job_ids[pid] == jid
+                )
+                assert placed == size, f"parallel job {jid} placed {placed}/{size}"
+        elif anytime_rec is not None:
+            # Budget exhausted mid-search: finish the best partial path
+            # with the cheapest next node, step by step.  Greedy, so never
+            # better than the optimum — but always a *valid* schedule,
+            # which is the anytime contract.
+            with perf.phase("budget_completion"):
+                nodes = greedy_complete(
+                    source, _path(anytime_rec), anytime_rec.unscheduled
+                )
+            if nodes is not None:
+                schedule = source.schedule(nodes)
+                objective = evaluate_schedule(problem, schedule).objective
+                stats["budget_completion"] = "greedy"
                 if tracer is not None:
                     tracer.emit(
                         "incumbent", solver=self.name,
-                        objective=ev.objective, expanded=expanded,
+                        objective=objective, expanded=expanded,
                     )
-                return SolveResult(
-                    solver=self.name,
-                    schedule=anytime_schedule,
-                    objective=ev.objective,
-                    time_seconds=0.0,
-                    optimal=False,
-                    stats={
-                        "expanded": expanded,
-                        "visited_paths": pushed,
-                        "dismissed": dismissed,
-                        "budget_completion": "greedy",
-                        "profile": perf.snapshot(),
-                    },
-                )
-            return SolveResult(
-                solver=self.name,
-                schedule=None,
-                objective=math.inf,
-                time_seconds=0.0,
-                stats={
-                    "expanded": expanded,
-                    "visited_paths": pushed,
-                    "profile": perf.snapshot(),
-                },
-            )
-
-        groups = []
-        walk: Optional[_Record] = goal
-        while walk is not None and walk.node is not None:
-            groups.append(walk.node)
-            walk = walk.parent
-        schedule = CoSchedule.from_groups(groups, u=u, n=n)
-        # Sanity: every parallel job fully placed.
-        for jid, size in par_sizes.items():
-            placed = sum(
-                1 for grp in schedule.groups for pid in grp if job_ids[pid] == jid
-            )
-            assert placed == size, f"parallel job {jid} placed {placed}/{size}"
-
+        if bound <= objective:
+            schedule, objective = incumbent, bound
+        stats["profile"] = perf.snapshot()
+        exact = self.node_limit_fraction is None and self.beam_width is None
         return SolveResult(
             solver=self.name,
             schedule=schedule,
-            objective=goal.g,
+            objective=objective,
             time_seconds=0.0,
-            optimal=(self.node_limit_fraction is None),
-            stats={
-                "expanded": expanded,
-                "visited_paths": pushed,
-                "dismissed": dismissed,
-                "condensed_away": gen.stats["condensed_away"],
-                "nodes_generated": gen.stats["generated"],
-                "partial_resumes": resumes,
-                "profile": perf.snapshot(),
-            },
+            optimal=schedule is not None and stopped is None and exact,
+            stats=stats,
         )
 
-    def _greedy_complete(
-        self,
-        problem: CoSchedulingProblem,
-        gen: SuccessorGenerator,
-        rec: _Record,
-    ) -> Optional[CoSchedule]:
-        """Complete ``rec``'s partial path by appending the cheapest valid
-        node of each remaining level (the anytime fallback when a budget
-        trips mid-search).  ``None`` only if some state has no valid
-        successor, which cannot happen for a well-formed instance."""
-        groups: List[Tuple[int, ...]] = []
-        walk: Optional[_Record] = rec
-        while walk is not None and walk.node is not None:
-            groups.append(walk.node)
-            walk = walk.parent
-        groups.reverse()
-        unscheduled = rec.unscheduled
-        while unscheduled:
-            succ = gen.successors(unscheduled, limit=1)
-            if not succ:
-                return None
-            node, _w = succ[0]
-            groups.append(node)
-            members = frozenset(node)
-            unscheduled = tuple(p for p in unscheduled if p not in members)
-        return CoSchedule.from_groups(groups, u=problem.u, n=problem.n)
-
-    def _beam_search(
-        self, root, gen, make_child, child_h, node_limit, counters, budget
-    ):
+    def _beam_search(self, root, source, expand, node_limit, budget):
         """Layered beam search: keep the best ``beam_width`` states per level.
 
         Bounded-width variant used for the paper's largest scales (hundreds
@@ -712,12 +783,8 @@ class AStarSearch(Solver):
                     continue
                 expanded += 1
                 budget.charge()
-                for node, node_w in gen.successors(rec.unscheduled, limit=limit):
-                    cand = make_child(rec, node, node_w)
-                    if cand is None:
-                        continue
-                    counters["pushed"] += 1
-                    candidates.append((cand.g + child_h(cand), cand))
+                for cand in expand(rec, source.successors(rec, limit)):
+                    candidates.append((cand.g + source.h(cand), cand))
             if not candidates:
                 return None, expanded, None, None
             candidates = [(f, c) for f, c in candidates if c.alive]

@@ -157,8 +157,9 @@ class BruteForce(Solver):
 
         Groups are scored one at a time through the scalar
         :meth:`~repro.core.problem.CoSchedulingProblem.machine_node_weight`
-        on purpose: ``het_search`` scores through the batch kernels, and
-        the oracle must not share that path."""
+        on purpose: the A* search's slot-plan source
+        (:mod:`repro.solvers.het_search`) scores through the batch
+        kernels, and the oracle must not share that path."""
         n = problem.n
         total = count_het_assignments(problem)
         if total > self.max_partitions:

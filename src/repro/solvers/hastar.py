@@ -46,7 +46,6 @@ class HAStar(AStarSearch):
         h_parallel: str = "zero",
         process_floor: bool = True,
         beam_width: Optional[int] = None,
-        max_expansions: Optional[int] = None,
         name: Optional[str] = None,
     ):
         if beam_factor <= 0:
@@ -60,13 +59,20 @@ class HAStar(AStarSearch):
             h_parallel=h_parallel,
             process_floor=process_floor,
             beam_width=beam_width,
-            max_expansions=max_expansions,
         )
 
     def _solve(self, problem: CoSchedulingProblem) -> SolveResult:
         order = level_order(problem)
         if order is None:
             return super()._solve(problem)
+        if self._warm_schedule is not None:
+            # The warm-start bound reads the incumbent in the copy's labels.
+            new_pid = {old: new for new, old in enumerate(order)}
+            self._warm_schedule = CoSchedule.from_groups(
+                [[new_pid[pid] for pid in group]
+                 for group in self._warm_schedule.groups],
+                u=problem.u, n=problem.n,
+            )
         result = super()._solve(problem.relabeled(order))
         if result.schedule is not None:
             result.schedule = CoSchedule.from_groups(

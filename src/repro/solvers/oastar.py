@@ -28,7 +28,6 @@ class OAStar(AStarSearch):
         h_parallel: str = "zero",
         process_floor: bool = True,
         partial_expansion: bool = True,
-        max_expansions: Optional[int] = None,
         name: Optional[str] = None,
     ):
         super().__init__(
@@ -41,5 +40,4 @@ class OAStar(AStarSearch):
             h_parallel=h_parallel,
             process_floor=process_floor,
             partial_expansion=partial_expansion,
-            max_expansions=max_expansions,
         )

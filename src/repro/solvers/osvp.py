@@ -9,8 +9,6 @@ pruning the h(v) function buys.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .astar_core import AStarSearch
 
 __all__ = ["OSVP"]
@@ -24,7 +22,6 @@ class OSVP(AStarSearch):
         dismiss: str = "dominance",
         condense: bool = False,
         process_floor: bool = False,  # pure uniform-cost, as in [33]
-        max_expansions: Optional[int] = None,
         name: str = "O-SVP",
     ):
         super().__init__(
@@ -34,5 +31,4 @@ class OSVP(AStarSearch):
             dismiss=dismiss,
             condense=condense,
             process_floor=process_floor,
-            max_expansions=max_expansions,
         )

@@ -8,7 +8,7 @@ from repro.core.degradation import MatrixDegradationModel
 from repro.core.jobs import Workload, pe_job, serial_job
 from repro.core.machine import DUAL_CORE_CLUSTER
 from repro.core.problem import CoSchedulingProblem
-from repro.solvers import BruteForce, OAStar, OSVP
+from repro.solvers import BruteForce, OAStar
 from repro.solvers.astar_core import AStarSearch, _Record, _dominates
 from repro.workloads.synthetic import random_serial_instance
 
@@ -126,11 +126,6 @@ class TestConfigurationErrors:
     def test_bad_beam(self):
         with pytest.raises(ValueError):
             AStarSearch(beam_width=0)
-
-    def test_expansion_budget_raises(self):
-        problem = random_serial_instance(12, cluster="quad", seed=1)
-        with pytest.raises(RuntimeError, match="max_expansions"):
-            OSVP(max_expansions=2).solve(problem)
 
 
 class TestInternalConsistency:

@@ -14,7 +14,9 @@ from repro.solvers import (
     Budget,
     BranchBoundIP,
     FallbackChain,
+    HAStar,
     OAStar,
+    OSVP,
     PolitenessGreedy,
     SimulatedAnnealing,
     SwapHillClimber,
@@ -123,3 +125,18 @@ def test_fallback_chain_threads_incumbent_through_stages():
     inc_obj = evaluate_schedule(problem, incumbent).objective
     assert result.objective <= inc_obj + 1e-9
     assert result.stats["warm_start"]["objective"] == pytest.approx(inc_obj)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_astar_family_stops_at_incumbent_bound(seed):
+    # HA* trims the optimum away here, and its search runs on a relabelled
+    # copy: seeded with OA*'s optimum, the incumbent bound (read in the
+    # copy's labels) must stop the search and hand the optimum back itself
+    # — not through the base class's restore.
+    problem = random_serial_instance(12, "quad", seed=seed, saturation=4.0)
+    exact = OAStar().solve(problem)
+    assert HAStar().solve(problem).objective > exact.objective + 1e-9
+    for solver in (OAStar(), HAStar(), OSVP()):
+        result = solver.solve(problem, initial_schedule=exact.schedule)
+        assert result.objective == pytest.approx(exact.objective, abs=1e-12)
+        assert not result.stats["warm_start"]["restored"], solver.name

@@ -9,7 +9,9 @@ structurally before searching; and the batch-scored scenario search
 runs the same search as the scalar path.
 """
 
+import io
 import itertools
+import json
 
 import pytest
 
@@ -24,12 +26,17 @@ from repro.core.jobs import Workload, serial_job
 from repro.core.machine import MACHINES, ClusterSpec
 from repro.core.objective import evaluate_schedule
 from repro.core.problem import CoSchedulingProblem
+from repro.perf import Tracer
 from repro.runtime import create_solver
+from repro.solvers.astar_core import greedy_complete
 from repro.solvers.base import CapabilityError
 from repro.solvers.budget import Budget
-from repro.solvers.het_search import _greedy_complete
+from repro.solvers.het_search import slot_plan_source
 from repro.workloads import bandwidth_capped_mix, heterogeneous_serial_mix
-from repro.workloads.synthetic import random_heterogeneous_instance
+from repro.workloads.synthetic import (
+    random_heterogeneous_instance,
+    random_serial_instance,
+)
 
 
 def tiny_problem(machines=("dual", "quad"), **kwargs):
@@ -287,8 +294,8 @@ PARITY_ROSTERS = [
 
 
 class TestBatchedScenarioSearch:
-    """het_search scores each expansion with one batch-kernel call; the
-    search must be the one the scalar path runs."""
+    """The slot-plan source scores each expansion with one batch-kernel
+    call; the search must be the one the scalar path runs."""
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("roster, kwargs", PARITY_ROSTERS)
@@ -301,7 +308,7 @@ class TestBatchedScenarioSearch:
 
         batch = create_solver("oastar").solve(make())
         scalar = create_solver("oastar").solve(_batch_off(make(), monkeypatch))
-        for key in ("expanded", "generated", "dismissed"):
+        for key in ("expanded", "nodes_generated", "dismissed"):
             assert batch.stats[key] == scalar.stats[key], key
         assert batch.schedule.groups == scalar.schedule.groups
         assert batch.objective == pytest.approx(scalar.objective, abs=1e-9)
@@ -330,7 +337,8 @@ class TestBatchedScenarioSearch:
         # scalar weights.
         problem, reference = make(), make()
         plan = problem.slot_plan()
-        filled = _greedy_complete(problem, plan, 0, (), list(range(problem.n)))
+        source = slot_plan_source(create_solver("oastar"), problem)
+        filled = tuple(greedy_complete(source, (), tuple(range(problem.n))))
         remaining, expected = list(range(reference.n)), []
         for k, cap, _ in plan:
             best = min(itertools.combinations(remaining, cap),
@@ -349,3 +357,60 @@ class TestBatchedScenarioSearch:
         assert series["items"] == 15 + (series["batches"] - 1)
         assert series["max_size"] == 15
         assert het.counters.batch_stats("het_expand") == series
+
+
+def _capped_without_caps(problem):
+    """``problem`` with a bandwidth cap of ``None`` on every machine: a
+    scenario problem whose penalty is always zero."""
+    return CoSchedulingProblem(
+        problem.workload, problem.cluster, problem.model,
+        constraints=[BandwidthCapConstraint(
+            [1.0] * problem.n, [None] * problem.n_machines,
+        )],
+    )
+
+
+class TestOneSearchEngine:
+    """Scenario problems run the same best-first loop as the paper's
+    homogeneous graph: traced alike, and with the same optimum where the
+    two search spaces describe one problem."""
+
+    @staticmethod
+    def _traced_events(budget=None):
+        problem = random_heterogeneous_instance(
+            ("dual", "quad", "eight"), seed=5, saturation=0.9,
+            bandwidth_caps=(None, 2.5e9, None), clock_scaling=True,
+        )
+        buf = io.StringIO()
+        tracer = Tracer(buf, flush_every=1)
+        problem.counters.tracer = tracer
+        result = create_solver("oastar").solve(problem, budget=budget)
+        tracer.close()
+        return result, [json.loads(line)["ev"]
+                        for line in buf.getvalue().splitlines()]
+
+    def test_scenario_solve_is_traced(self):
+        result, kinds = self._traced_events()
+        assert result.optimal
+        for kind in ("level", "expand", "incumbent"):
+            assert kind in kinds, kind
+
+    def test_budget_stop_is_traced(self):
+        result, kinds = self._traced_events(Budget(max_expanded=1))
+        assert result.budget_stopped == "expanded"
+        assert "budget_stop" in kinds
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", (8, 12))
+    def test_zero_penalty_scenario_matches_graph_optimum(self, n, seed):
+        plain = random_serial_instance(n, "quad", seed=seed)
+        capped = _capped_without_caps(plain)
+        assert capped.is_scenario and not plain.is_scenario
+        optimum = create_solver("oastar").solve(plain).objective
+        assert create_solver("brute").solve(plain).objective == pytest.approx(
+            optimum, abs=1e-9
+        )
+        for spec in ("oastar", "osvp"):
+            capped.clear_caches()
+            result = create_solver(spec).solve(capped)
+            assert result.objective == pytest.approx(optimum, abs=1e-9), spec
