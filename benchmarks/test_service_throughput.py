@@ -20,18 +20,20 @@ import time
 
 from repro.core.objective import evaluate_schedule
 from repro.service import SolveService
-from repro.solvers import Budget, SimulatedAnnealing, SwapHillClimber
+from repro.solvers import OSVP, Budget, SwapHillClimber
 from repro.workloads.synthetic import random_serial_instance
 
-#: Wall budget per request; anneal with a huge iteration count always
-#: consumes it, so every solve has a deterministic ~PER_REQUEST_S duration.
+#: Wall budget per request; exact O-SVP on N_JOBS serial jobs always
+#: consumes it, so every solve has a deterministic ~PER_REQUEST_S duration
+#: (the baseline asserts that each solve stopped on ``wall_time``).
 PER_REQUEST_S = 0.2
+N_JOBS = 16
 N_DISTINCT = 6
 WORKERS = 4
 
 
 def _request_solver():
-    return SimulatedAnnealing(iterations=10**9, seed=0)
+    return OSVP()
 
 
 def _stream(seed0=400):
@@ -41,7 +43,7 @@ def _stream(seed0=400):
     baseline cannot accidentally benefit from in-problem memoization.
     """
     seeds = [seed0 + i for i in range(N_DISTINCT)] * 2
-    return [random_serial_instance(12, seed=s) for s in seeds]
+    return [random_serial_instance(N_JOBS, seed=s) for s in seeds]
 
 
 class TestServiceThroughput:
@@ -50,18 +52,19 @@ class TestServiceThroughput:
 
         # Baseline: every request solved from scratch, back to back.
         t0 = time.perf_counter()
-        baseline_objs = [
-            _request_solver().solve(p, budget=budget).objective
-            for p in _stream()
-        ]
+        baseline = [_request_solver().solve(p, budget=budget)
+                    for p in _stream()]
         baseline_s = time.perf_counter() - t0
+        # The premise: no solve finishes inside the budget.
+        assert [r.budget_stopped for r in baseline] == (
+            ["wall_time"] * len(baseline))
 
         # Service: same stream, same per-request budget.  Duplicates hit
         # the store (or coalesce while the primary is in flight); distinct
         # wall-budgeted solves overlap across the worker pool.
         svc = SolveService(
-            workers=WORKERS, default_solver="anneal",
-            solver_factories={"anneal": _request_solver},
+            workers=WORKERS, default_solver="osvp",
+            solver_factories={"osvp": _request_solver},
         )
         requests = _stream()
         t0 = time.perf_counter()
@@ -93,7 +96,7 @@ class TestServiceThroughput:
         )
         # Sanity: the service's answers are real schedules on the same
         # instances (identical seeds -> identical objective space).
-        assert len(baseline_objs) == len(tickets)
+        assert len(baseline) == len(tickets)
         assert all(t.objective is not None for t in tickets)
 
     def test_warm_started_local_search_not_worse_at_equal_budget(self):

@@ -11,7 +11,7 @@ overdraw) and its slower clock stretches every cycle of slowdown
 (``machine_scaling``).
 
 The example solves the same batch with the heuristic ladder (PG → hill →
-anneal), shows the capability gate structurally rejecting a
+HA*), shows the capability gate structurally rejecting a
 solver that cannot handle rosters (the IP formulation), and prints the
 winning placement machine by machine.
 
@@ -38,7 +38,7 @@ def main() -> None:
           f"scenario features {sorted(problem.required_capabilities())}\n")
 
     reports = {}
-    for spec in ("pg", "hill?seed=0", "anneal?seed=0"):
+    for spec in ("pg", "hill?seed=0", "hastar"):
         report = run_solve(problem, spec)
         reports[report.solver] = report
         print(f"  {report.solver:12s} objective {report.objective:.4f} "

@@ -46,7 +46,7 @@ def main() -> None:
 
         print("\nrefine: re-solve problem 1 warm-started from the cache:")
         refined = client.solve(random_serial_instance(8, seed=1),
-                               solver="anneal", refine=True)
+                               solver="hill", refine=True)
         print(f"  objective {refined['objective']:.4f} "
               f"({refined['disposition']}, "
               f"warm start: {refined['warm_started']})")

@@ -53,7 +53,6 @@ from .solvers import (
     OSVP,
     PolitenessGreedy,
     ScipyMILP,
-    SimulatedAnnealing,
     SolveResult,
     SwapHillClimber,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "OSVP",
     "PolitenessGreedy",
     "ScipyMILP",
-    "SimulatedAnnealing",
     "SolveResult",
     "SwapHillClimber",
     "SolveReport",

@@ -78,8 +78,6 @@ def _cmd_list(_args: argparse.Namespace) -> int:
             caps.append("budget")
         if info.supports_warm_start:
             caps.append("warm-start")
-        if info.supports_workers:
-            caps.append("workers")
         if info.scenario_flags():
             caps.append("scenarios")
         alias = f" (aliases: {', '.join(info.aliases)})" if info.aliases else ""
@@ -159,11 +157,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         tracer = Tracer(args.trace)
     report = None
     try:
-        # run_solve attaches (and restores) the tracer, applies --workers,
-        # and arms the budget — the CLI only renders the report.
+        # run_solve attaches (and restores) the tracer and arms the
+        # budget — the CLI only renders the report.
         try:
-            report = run_solve(problem, spec, budget=budget, tracer=tracer,
-                               workers=getattr(args, "workers", 1))
+            report = run_solve(problem, spec, budget=budget, tracer=tracer)
         except SpecError as exc:
             # e.g. unsupported_scenario: the problem needs capabilities
             # (heterogeneous roster, constraints) this solver lacks.
@@ -514,11 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile", action="store_true",
         help="print weight-kernel batch sizes, memo hits, heap ops and "
              "per-phase wall time after solving",
-    )
-    p_solve.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="run portfolio members on N worker processes "
-             "(ignored by other solvers; 1 = in-process)",
     )
     p_solve.add_argument(
         "--budget", type=float, default=None, metavar="SECONDS",

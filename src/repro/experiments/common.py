@@ -29,8 +29,7 @@ class ExperimentResult:
         return f"== {self.exp_id}: {self.title} ==\n{self.text}"
 
 
-def solve_spec(problem, spec: str, *, budget=None, warm_start=None,
-               workers: int = 1):
+def solve_spec(problem, spec: str, *, budget=None, warm_start=None):
     """Solve ``problem`` with a runtime registry spec string.
 
     The experiments' one solver entry point: every runner names its
@@ -43,8 +42,8 @@ def solve_spec(problem, spec: str, *, budget=None, warm_start=None,
     """
     from ..runtime import run_solve
 
-    return run_solve(problem, spec, budget=budget, warm_start=warm_start,
-                     workers=workers).result
+    return run_solve(problem, spec, budget=budget,
+                     warm_start=warm_start).result
 
 
 @contextmanager

@@ -217,7 +217,7 @@ class ProblemSession:
         """Full solve of the current roster with the ``base`` spec.
 
         Returns the :class:`~repro.runtime.SolveReport`; extra keyword
-        arguments (``tracer``, ``workers``) pass through to
+        arguments (``tracer``, ``warm_start``) pass through to
         :func:`~repro.runtime.run_solve`.
         """
         problem = self.build_problem()

@@ -8,9 +8,8 @@ experiment runners) resolves solvers through this package:
   :class:`~repro.runtime.registry.SolverInfo` entries, plus the shared
   spec-string syntax (``"hastar?mer=4"``, ``"fallback?chain=oastar,pg"``);
 * :mod:`repro.runtime.session` — :func:`~repro.runtime.session.run_solve`,
-  composing budget enforcement, tracer attach/restore, warm starts and
-  worker fan-out into a normalized
-  :class:`~repro.runtime.session.SolveReport`.
+  composing budget enforcement, tracer attach/restore and warm starts
+  into a normalized :class:`~repro.runtime.session.SolveReport`.
 
 Quickstart::
 

@@ -2,9 +2,9 @@
 
 Before this package existed the repo carried three divergent hand-written
 solver tables — ``cli.SOLVERS``, ``service.queue.SOLVER_FACTORIES`` and
-direct class construction inside ``experiments/``/``sim``/``parallel`` —
-each wiring budgets, tracing, workers and warm starts differently, and
-each supporting a different solver subset.  :data:`REGISTRY` replaces all
+direct class construction inside ``experiments/`` and ``sim`` — each
+wiring budgets, tracing and warm starts differently, and each supporting
+a different solver subset.  :data:`REGISTRY` replaces all
 of them: a capability-annotated table of :class:`SolverInfo` entries that
 the CLI, the HTTP service, the batch simulator and the experiment runners
 all resolve through.  Adding a solver (or a capability) is a one-entry
@@ -17,7 +17,7 @@ flags, HTTP request bodies and experiment configs::
     hastar?mer=4                # constructor params after '?'
     oastar?h_strategy=1&name=OA*(h1)
     fallback?chain=oastar,pg    # composite solvers take solver lists
-    portfolio?members=hastar,anneal
+    portfolio?members=hastar,hill
 
 Parameters are ``key=value`` pairs separated by ``&``; values are coerced
 (int, float, ``true``/``false``, else string) and passed to the solver's
@@ -31,7 +31,7 @@ the instance.  Both raise :class:`SpecError` with a machine-readable
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Tuple
 
 from ..solvers import (
     BranchBoundIP,
@@ -41,9 +41,9 @@ from ..solvers import (
     OAStar,
     OSVP,
     PolitenessGreedy,
+    PortfolioSolver,
     RepairSolver,
     ScipyMILP,
-    SimulatedAnnealing,
     SwapHillClimber,
 )
 from ..solvers.base import Solver
@@ -98,10 +98,6 @@ class SolverInfo:
         ``solve(initial_schedule=...)`` seeds the run and
         ``stats["warm_start"]`` records the outcome (the base-class
         never-worse guarantee).
-    ``supports_workers``
-        The instance exposes a ``workers`` attribute that
-        :func:`~repro.runtime.session.run_solve` sets for multi-process
-        fan-out.
     ``supports_trace``
         Runs emit structured events through an attached
         :class:`~repro.perf.Tracer` (at minimum ``solve_start`` /
@@ -132,7 +128,6 @@ class SolverInfo:
     aliases: Tuple[str, ...] = ()
     budget_currencies: Tuple[str, ...] = ()
     supports_warm_start: bool = True
-    supports_workers: bool = False
     supports_trace: bool = True
     supports_repair: bool = False
     supports_heterogeneous: bool = False
@@ -151,7 +146,6 @@ class SolverInfo:
             "supports_budget": self.supports_budget,
             "budget_currencies": list(self.budget_currencies),
             "supports_warm_start": self.supports_warm_start,
-            "supports_workers": self.supports_workers,
             "supports_trace": self.supports_trace,
             "supports_repair": self.supports_repair,
             "supports_heterogeneous": self.supports_heterogeneous,
@@ -303,7 +297,8 @@ def create_solver(spec) -> Solver:
 
     Composite solvers resolve their member lists recursively
     (``fallback?chain=oastar,pg`` builds an OA* > PG cascade;
-    ``portfolio?members=hastar,anneal`` races HA* against annealing).
+    ``portfolio?members=hastar,hill`` runs HA* and the hill climber and
+    keeps the better schedule).
     Constructor errors surface as :class:`SpecError` with reason
     ``"bad_param"`` so every caller rejects bad input the same way.
     """
@@ -336,16 +331,6 @@ def create_solver(spec) -> Solver:
 # ---------------------------------------------------------------------- #
 # the built-in table
 # ---------------------------------------------------------------------- #
-
-
-def _make_portfolio(members=None, **kwargs) -> Solver:
-    # Imported lazily: repro.parallel resolves its members through this
-    # registry, so a top-level import would be circular.
-    from ..parallel.portfolio import PortfolioSolver
-
-    if members is None:
-        members = [create_solver("hastar"), create_solver("pg")]
-    return PortfolioSolver(members, **kwargs)
 
 
 register(SolverInfo(
@@ -415,18 +400,7 @@ register(SolverInfo(
     supports_constraints=True,
     aliases=("hillclimb",),
     factory=SwapHillClimber,
-    summary="steepest-descent pairwise swaps to a swap-local optimum",
-    exact=False,
-    budget_currencies=_SEARCH_CURRENCIES,
-    supports_repair=True,
-))
-register(SolverInfo(
-    name="anneal",
-    supports_heterogeneous=True,
-    supports_constraints=True,
-    aliases=("annealing", "sa"),
-    factory=SimulatedAnnealing,
-    summary="Metropolis swap annealing with geometric cooling",
+    summary="first-improvement pairwise swaps to a swap-local optimum",
     exact=False,
     budget_currencies=_SEARCH_CURRENCIES,
     supports_repair=True,
@@ -458,15 +432,14 @@ register(SolverInfo(
     supports_heterogeneous=True,
     supports_constraints=True,
     aliases=(),
-    factory=_make_portfolio,
-    summary="race several member solvers, keep the best schedule "
+    factory=PortfolioSolver,
+    summary="run several member solvers, keep the best schedule "
             "(members=... picks them; default hastar,pg)",
     exact=False,
     # Sequential members split the remaining *wall clock*; node budgets are
     # per-member (the portfolio itself never charges), so only wall_time is
     # honored portfolio-wide.
     budget_currencies=("wall_time",),
-    supports_workers=True,
 ))
 register(SolverInfo(
     name="repair",

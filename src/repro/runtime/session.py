@@ -12,10 +12,6 @@ differently:
   ``problem.counters`` for the duration of the run and the *previous*
   tracer is restored on exit, success or failure (the old CLI left its
   tracer attached forever);
-* **worker fan-out** — ``workers > 1`` is applied to solvers that declare
-  ``supports_workers`` (the ``workers`` attribute of ``portfolio``) and
-  silently skipped otherwise, exactly like the old CLI's ``hasattr`` probe
-  but driven by declared capabilities;
 * **budget + warm start** — forwarded to ``solve()``, which owns the
   never-worse incumbent guarantee.
 
@@ -35,7 +31,7 @@ from ..core.problem import CoSchedulingProblem
 from ..perf import kernels as _kernels
 from ..solvers.base import CapabilityError, Solver, SolveResult
 from ..solvers.budget import Budget
-from .registry import SolverSpec, SpecError, create_solver, get_info, parse_spec
+from .registry import SolverSpec, SpecError, create_solver, parse_spec
 
 __all__ = ["SolveReport", "run_solve"]
 
@@ -46,7 +42,7 @@ class SolveReport:
 
     Wraps the raw :class:`~repro.solvers.base.SolveResult` (``result``)
     with the request context every surface needs to report: the canonical
-    spec that produced it, the problem shape, and the applied worker count.
+    spec that produced it and the problem shape.
     """
 
     spec: str
@@ -54,7 +50,6 @@ class SolveReport:
     result: SolveResult
     n: int
     u: int
-    workers: int = 1
 
     # -- conveniences shared by every surface --------------------------- #
 
@@ -106,7 +101,6 @@ class SolveReport:
             "solve_seconds": self.result.time_seconds,
             "stopped": self.stopped,
             "warm_started": self.warm_started,
-            "workers": self.workers,
             # Which batch-kernel backend scored this solve ("native" when
             # the compiled kernels are active, "numpy" on the generic
             # fallback or under COSCHED_NATIVE=0) — perf results are not
@@ -123,17 +117,6 @@ class SolveReport:
         return out
 
 
-def _apply_workers(solver: Solver, workers: int) -> int:
-    """Point the solver's worker knob at ``workers``; returns the applied
-    count (1 when the solver has no knob)."""
-    if workers <= 1:
-        return 1
-    if hasattr(solver, "workers"):
-        solver.workers = workers
-        return workers
-    return 1
-
-
 def run_solve(
     problem: CoSchedulingProblem,
     spec: Union[str, SolverSpec, Solver],
@@ -141,7 +124,6 @@ def run_solve(
     budget: Optional[Budget] = None,
     tracer=None,
     warm_start=None,
-    workers: int = 1,
 ) -> SolveReport:
     """Solve ``problem`` with the solver named by ``spec``.
 
@@ -165,10 +147,6 @@ def run_solve(
         Optional incumbent :class:`~repro.core.schedule.CoSchedule`;
         forwarded as ``initial_schedule`` (never-worse guarantee,
         ``stats["warm_start"]``).
-    workers:
-        Worker processes for solvers that declare ``supports_workers``;
-        silently ignored elsewhere (check ``report.workers`` for what was
-        applied).
 
     Raises
     ------
@@ -183,26 +161,14 @@ def run_solve(
     if isinstance(spec, Solver):
         solver = spec
         spec_str = getattr(solver, "name", type(solver).__name__)
-        can_fan_out = hasattr(solver, "workers")
-        declared = getattr(solver, "scenario_capabilities", frozenset())
     else:
         parsed = parse_spec(spec) if isinstance(spec, str) else spec
-        info = get_info(parsed.name)
-        missing = problem.required_capabilities() - info.scenario_flags()
-        if missing:
-            raise SpecError(
-                "unsupported_scenario",
-                f"solver {parsed.canonical()!r} does not support scenario "
-                f"feature(s) {sorted(missing)} required by this problem; "
-                f"see docs/SCENARIOS.md for the solver support matrix",
-            )
         solver = create_solver(parsed)
         spec_str = parsed.canonical()
-        can_fan_out = info.supports_workers
-        declared = getattr(solver, "scenario_capabilities", frozenset())
-    # Instance-level check: composite solvers (fallback?chain=...,
-    # portfolio?members=...) narrow their capabilities to the member
-    # intersection, which can be stricter than the registry entry.
+    # The instance's capabilities, not the registry entry's: composite
+    # solvers (fallback?chain=..., portfolio?members=...) narrow theirs to
+    # the member intersection, which can be stricter than the entry.
+    declared = getattr(solver, "scenario_capabilities", frozenset())
     missing = problem.required_capabilities() - declared
     if missing:
         raise SpecError(
@@ -211,7 +177,6 @@ def run_solve(
             f"{sorted(missing)} required by this problem; see "
             f"docs/SCENARIOS.md for the solver support matrix",
         )
-    applied = _apply_workers(solver, workers) if can_fan_out else 1
 
     counters = getattr(problem, "counters", None)
     prev_tracer = getattr(counters, "tracer", None)
@@ -235,7 +200,6 @@ def run_solve(
         result=result,
         n=problem.n,
         u=problem.u,
-        workers=applied,
     )
 
 

@@ -10,9 +10,10 @@ from .hastar import HAStar
 from .ip_branch_bound import BranchBoundIP
 from .ip_model import IPFormulation, build_formulation
 from .ip_scipy import ScipyMILP
-from .local_search import SimulatedAnnealing, SwapHillClimber
+from .local_search import SwapHillClimber
 from .oastar import OAStar
 from .osvp import OSVP
+from .portfolio import PortfolioSolver
 from .repair import RepairSolver
 from .simplex import LPResult, simplex_solve
 
@@ -34,10 +35,10 @@ __all__ = [
     "IPFormulation",
     "build_formulation",
     "ScipyMILP",
-    "SimulatedAnnealing",
     "SwapHillClimber",
     "OAStar",
     "OSVP",
+    "PortfolioSolver",
     "RepairSolver",
     "LPResult",
     "simplex_solve",

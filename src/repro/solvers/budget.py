@@ -135,7 +135,7 @@ class BudgetState:
     def remaining(self) -> Budget:
         """A fresh :class:`Budget` with whatever is left — how
         :class:`~repro.solvers.fallback.FallbackChain` and
-        :class:`~repro.parallel.PortfolioSolver` hand the unused slice to
+        :class:`~repro.solvers.portfolio.PortfolioSolver` hand the unused slice to
         the next solver.  Exhausted currencies clamp to zero."""
         b = self.budget
         wall = None if b.wall_time is None else max(0.0, b.wall_time - self.elapsed())

@@ -33,8 +33,7 @@ __all__ = ["FallbackChain"]
 #: Solver stats keys that count one unit of budgeted work each; a stage's
 #: total is charged against the chain budget so ``max_expanded`` spans the
 #: whole cascade, not each stage afresh.
-_WORK_KEYS = ("expanded", "bb_nodes", "partitions_examined", "evaluations",
-              "iterations")
+_WORK_KEYS = ("expanded", "bb_nodes", "partitions_examined", "evaluations")
 
 
 class FallbackChain(Solver):

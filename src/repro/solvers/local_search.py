@@ -1,19 +1,15 @@
-"""Local-search heuristics: swap-based hill climbing and simulated annealing.
+"""Local search: swap-based hill climbing.
 
 The co-scheduling literature's other big heuristic family (besides greedy
 scoring à la PG and trimmed search à la HA*): start from some schedule and
 exchange process pairs across machines while it helps.  The neighbourhood is
 all single swaps — moves preserve the exactly-u-per-machine shape by
-construction.
-
-Included both as practical solvers and as comparison points: hill climbing
-gets stuck in swap-local optima; annealing escapes some of them at the cost
-of evaluations; both bracket where HA* lands (see the ablation bench).
+construction.  Hill climbing stops in a swap-local optimum; it runs on its
+own and as a base of the repair path (``repair?base=hill``).
 """
 
 from __future__ import annotations
 
-import math
 import random
 from typing import List, Optional
 
@@ -23,7 +19,10 @@ from ..core.schedule import CoSchedule
 from .base import Solver, SolveResult
 from .greedy import PolitenessGreedy
 
-__all__ = ["SwapHillClimber", "SimulatedAnnealing"]
+__all__ = ["SwapHillClimber"]
+
+#: Swap passes before the climb stops even if a pass still improved.
+MAX_PASSES = 50
 
 
 def _schedule_of_groups(problem: CoSchedulingProblem,
@@ -43,11 +42,12 @@ def _objective_of_groups(problem: CoSchedulingProblem,
 
 
 class SwapHillClimber(Solver):
-    """Steepest-descent pairwise swaps until no swap improves.
+    """First-improvement pairwise swaps until no swap improves.
 
-    ``start`` picks the initial schedule: ``"greedy"`` (PG, default) or
-    ``"sequential"``.  Each pass evaluates every cross-machine swap;
-    termination is a swap-local optimum.
+    The climb starts from the warm start when one is given, else from PG's
+    schedule.  Each pass tries every cross-machine swap and keeps an
+    improving swap at once, then scans on; termination is a swap-local
+    optimum (or :data:`MAX_PASSES` passes).
 
     ``seed`` (``hill?seed=7`` through the registry) shuffles the
     machine-pair scan order once per pass with a private
@@ -59,37 +59,23 @@ class SwapHillClimber(Solver):
 
     scenario_capabilities = frozenset({"heterogeneous", "constraints"})
 
-    def __init__(self, start: str = "greedy", max_passes: int = 50,
-                 seed: Optional[int] = None, name: Optional[str] = None):
-        if start not in ("greedy", "sequential"):
-            raise ValueError("start must be 'greedy' or 'sequential'")
-        self.start = start
-        self.max_passes = max_passes
+    def __init__(self, seed: Optional[int] = None,
+                 name: Optional[str] = None):
         self.seed = seed
-        self.name = name or f"hill-climb({start})"
+        self.name = name or "hill-climb(greedy)"
 
     def _initial(self, problem: CoSchedulingProblem) -> List[List[int]]:
         warm = self._warm_start_groups(problem)
         if warm is not None:
             return warm
-        if self.start == "greedy":
-            result = PolitenessGreedy().solve(problem)
-            return [list(g) for g in result.schedule.groups]
-        if problem.is_scenario:
-            groups: List[List[int]] = []
-            next_pid = 0
-            for cap in problem.capacities:
-                groups.append(list(range(next_pid, next_pid + cap)))
-                next_pid += cap
-            return groups
-        n, u = problem.n, problem.u
-        return [list(range(k * u, (k + 1) * u)) for k in range(n // u)]
+        result = PolitenessGreedy().solve(problem)
+        return [list(g) for g in result.schedule.groups]
 
     def _solve(self, problem: CoSchedulingProblem) -> SolveResult:
         budget = self._active_budget()
         tracer = problem.counters.tracer
         groups = self._initial(problem)
-        m, u = len(groups), problem.u
+        m = len(groups)
         best = _objective_of_groups(problem, groups)
         evaluations = 1
         passes = 0
@@ -97,7 +83,7 @@ class SwapHillClimber(Solver):
         stopped = None
         rng = random.Random(self.seed) if self.seed is not None else None
         pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-        while improved and passes < self.max_passes and stopped is None:
+        while improved and passes < MAX_PASSES and stopped is None:
             improved = False
             passes += 1
             if rng is not None:
@@ -143,91 +129,4 @@ class SwapHillClimber(Solver):
             objective=best,
             time_seconds=0.0,
             stats={"passes": passes, "evaluations": evaluations},
-        )
-
-
-class SimulatedAnnealing(Solver):
-    """Metropolis swaps with a geometric cooling schedule.
-
-    Deterministic given ``seed``.  ``iterations`` proposal swaps are made;
-    temperature decays from ``t0`` (relative to the initial objective) by
-    ``cooling`` per step; the best schedule ever visited is returned.
-    """
-
-    scenario_capabilities = frozenset({"heterogeneous", "constraints"})
-
-    def __init__(
-        self,
-        iterations: int = 5000,
-        t0: float = 0.1,
-        cooling: float = 0.999,
-        seed: int = 0,
-        start: str = "greedy",
-        name: Optional[str] = None,
-    ):
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if not 0 < cooling <= 1:
-            raise ValueError("cooling must be in (0, 1]")
-        self.iterations = iterations
-        self.t0 = t0
-        self.cooling = cooling
-        self.seed = seed
-        self.start = start
-        self.name = name or "annealing"
-
-    def _solve(self, problem: CoSchedulingProblem) -> SolveResult:
-        budget = self._active_budget()
-        tracer = problem.counters.tracer
-        rng = random.Random(self.seed)
-        groups = self._warm_start_groups(problem)
-        if groups is None:
-            init = SwapHillClimber(start=self.start, max_passes=0)
-            groups = init._initial(problem)
-        m, u = len(groups), problem.u
-        current = _objective_of_groups(problem, groups)
-        best = current
-        best_groups = [list(g) for g in groups]
-        temp = max(1e-9, self.t0 * max(current, 1e-9))
-        accepted = 0
-        iterations_run = 0
-        stopped = None
-        for _ in range(self.iterations):
-            if m < 2:
-                break
-            if budget.exhausted() is not None:
-                # best_groups always holds a valid schedule (the start at
-                # worst), so a budgeted run degrades to shorter annealing.
-                stopped = budget.stop_reason
-                if tracer is not None:
-                    tracer.emit("budget_stop", solver=self.name,
-                                reason=stopped, iterations=iterations_run)
-                break
-            a, b = rng.sample(range(m), 2)
-            i, j = rng.randrange(len(groups[a])), rng.randrange(len(groups[b]))
-            groups[a][i], groups[b][j] = groups[b][j], groups[a][i]
-            obj = _objective_of_groups(problem, groups)
-            iterations_run += 1
-            budget.charge()
-            delta = obj - current
-            if delta <= 0 or rng.random() < math.exp(-delta / temp):
-                current = obj
-                accepted += 1
-                if obj < best - 1e-12:
-                    best = obj
-                    best_groups = [list(g) for g in groups]
-                    if tracer is not None:
-                        tracer.emit("incumbent", solver=self.name,
-                                    objective=best,
-                                    iterations=iterations_run)
-            else:
-                groups[a][i], groups[b][j] = groups[b][j], groups[a][i]
-            temp *= self.cooling
-        schedule = _schedule_of_groups(problem, best_groups)
-        return SolveResult(
-            solver=self.name,
-            schedule=schedule,
-            objective=best,
-            time_seconds=0.0,
-            stats={"iterations": iterations_run, "accepted": accepted},
         )

@@ -145,8 +145,8 @@ def test_repair_spec_with_param_carrying_base():
     """parse_spec splits on the FIRST '?', so the base can itself carry
     a parameter."""
     problem, partial = _perturbed_pair()
-    solver = create_solver("repair?base=anneal?seed=7")
-    assert solver.base_spec == "anneal?seed=7"
+    solver = create_solver("repair?base=hill?seed=7")
+    assert solver.base_spec == "hill?seed=7"
     solver.stale_partial = partial
     report = run_solve(problem, solver)
     assert report.schedule is not None

@@ -115,11 +115,6 @@ class TestParity:
         assert result.budget_stopped is None
 
     @pytest.mark.parametrize("name", sorted(REGISTRY))
-    def test_worker_capability_matches_knob(self, name):
-        solver = create_solver(name)
-        assert get_info(name).supports_workers == hasattr(solver, "workers")
-
-    @pytest.mark.parametrize("name", sorted(REGISTRY))
     def test_scenario_capability(self, name):
         """A solver claiming the scenario flags must actually solve a
         heterogeneous, bandwidth-capped instance; one that does not must

@@ -1,5 +1,5 @@
-"""The run_solve pipeline: tracer hygiene, budgets, warm starts, worker
-fan-out, and the stable SolveReport document."""
+"""The run_solve pipeline: tracer hygiene, budgets, warm starts, and the
+stable SolveReport document."""
 
 from dataclasses import replace
 
@@ -54,13 +54,6 @@ class TestRunSolve:
         assert report.warm_started
         assert "warm_start" in report.result.stats
 
-    def test_workers_applied_only_when_supported(self, problem):
-        assert run_solve(problem, "portfolio?members=pg,hill",
-                         workers=2).workers == 2
-        # OA* and PG have no worker knob: silently serial.
-        assert run_solve(problem, "oastar", workers=2).workers == 1
-        assert run_solve(problem, "pg", workers=4).workers == 1
-
 
 class TestTracerHygiene:
     def test_previous_tracer_restored(self, problem, tmp_path):
@@ -95,8 +88,7 @@ class TestTracerHygiene:
 class TestReportDict:
     EXPECTED_KEYS = {
         "spec", "solver", "n", "u", "objective", "optimal",
-        "solve_seconds", "stopped", "warm_started", "workers",
-        "kernel_backend",
+        "solve_seconds", "stopped", "warm_started", "kernel_backend",
     }
 
     def test_stable_schema(self, problem):

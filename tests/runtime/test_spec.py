@@ -85,11 +85,13 @@ class TestErrors:
         with pytest.raises(SpecError) as exc:
             create_solver("hastar?no_such_kwarg=1")
         assert exc.value.reason == "bad_param"
+        # The portfolio has no fan-out knob; workers= is an unknown kwarg.
         with pytest.raises(SpecError) as exc:
-            create_solver("portfolio?workers=0")
+            create_solver("portfolio?workers=2")
         assert exc.value.reason == "bad_param"
 
-    @pytest.mark.parametrize("name", ["genetic", "split"])
+    @pytest.mark.parametrize("name", ["genetic", "split", "anneal",
+                                      "annealing", "sa"])
     def test_removed_solvers_are_unknown(self, name, capsys):
         with pytest.raises(SpecError) as exc:
             create_solver(name)
@@ -127,10 +129,10 @@ class TestCreate:
         ]
 
     def test_composite_portfolio(self):
-        pf = create_solver("portfolio?members=hastar,anneal")
+        pf = create_solver("portfolio?members=hastar,hill")
         assert [type(m).__name__ for m in pf.members] == [
             "HAStar",
-            "SimulatedAnnealing",
+            "SwapHillClimber",
         ]
 
     def test_accepts_parsed_spec(self):
@@ -142,6 +144,6 @@ class TestCreate:
         for name in solver_names():
             create_solver(name)
         for alias, target in [("oa", "oastar"), ("cascade", "fallback"),
-                              ("sa", "anneal")]:
+                              ("hillclimb", "hill")]:
             assert canonical_name(alias) == target
             create_solver(alias)

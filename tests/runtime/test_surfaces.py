@@ -46,9 +46,10 @@ class TestSolverSetParity:
 
     def test_submit_accepts_what_solve_accepts(self):
         # The old drift: `submit --solver osvp` failed while `solve` worked
-        # (and vice versa for anneal).  Both resolve via one registry now.
+        # (and vice versa for other solvers).  Both resolve via one registry
+        # now.
         problem = make_problem()
-        for spec in ("osvp", "anneal", "hill?seed=1", SPEC):
+        for spec in ("osvp", "hill?seed=1", SPEC):
             run_solve(make_problem(), spec)
             with SolveService(workers=1) as svc:
                 ticket = svc.submit(problem, solver=spec)

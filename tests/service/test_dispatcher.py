@@ -188,18 +188,20 @@ class TestShedding:
             svc.stop()
 
     def test_shard_queue_saturation_sheds_inside_the_shard(self):
-        # One shard, one worker, queue of 1, slow-ish solves: concurrent
-        # submissions overflow the lane and degrade to the shed chain
-        # rather than bouncing with 429 queue_full.
+        # One shard, one worker, queue of 1, slow-ish solves (exact OA* on
+        # 24 jobs, stopped by a wall budget): concurrent submissions
+        # overflow the lane and degrade to the shed chain rather than
+        # bouncing with 429 queue_full.
         svc = ShardedService(shards=1, workers_per_shard=1, max_queue=1,
-                             default_solver="anneal?iterations=200000",
-                             shed_policy="pg")
+                             default_solver="oastar", shed_policy="pg")
         try:
             docs, errors = [], []
 
             def client(seed):
                 try:
-                    docs.append(svc.submit(make_problem(seed), wait=60.0))
+                    docs.append(svc.submit(make_problem(seed, n=24),
+                                           budget={"wall_time": 0.5},
+                                           wait=60.0))
                 except Exception as exc:  # noqa: BLE001
                     errors.append(exc)
 

@@ -23,7 +23,6 @@ from repro.solvers import (
     OSVP,
     PolitenessGreedy,
     ScipyMILP,
-    SimulatedAnnealing,
     SwapHillClimber,
 )
 from repro.workloads import random_serial_instance, serial_mix
@@ -109,7 +108,6 @@ ANYTIME_SOLVERS = [
     BranchBoundIP(),
     BruteForce(),
     SwapHillClimber(),
-    SimulatedAnnealing(seed=0),
     ScipyMILP(),
     PolitenessGreedy(),  # ignores budgets: must simply complete
 ]

@@ -1,9 +1,7 @@
-"""Tests for the local-search solvers."""
-
-import pytest
+"""Tests for the swap hill climber."""
 
 from repro.solvers import OAStar, PolitenessGreedy
-from repro.solvers.local_search import SimulatedAnnealing, SwapHillClimber
+from repro.solvers.local_search import SwapHillClimber
 from repro.workloads.synthetic import (
     random_interaction_instance,
     random_serial_instance,
@@ -11,17 +9,11 @@ from repro.workloads.synthetic import (
 
 
 class TestHillClimber:
-    @pytest.mark.parametrize("start", ["greedy", "sequential"])
-    def test_never_worse_than_start(self, start):
+    def test_never_worse_than_greedy_start(self):
         problem = random_interaction_instance(12, cluster="quad", seed=0)
-        hc = SwapHillClimber(start=start).solve(problem)
+        hc = SwapHillClimber().solve(problem)
         problem.clear_caches()
-        if start == "greedy":
-            base = PolitenessGreedy().solve(problem).objective
-        else:
-            from repro.solvers import SequentialScheduler
-
-            base = SequentialScheduler().solve(problem).objective
+        base = PolitenessGreedy().solve(problem).objective
         assert hc.objective <= base + 1e-9
 
     def test_bounded_below_by_optimum(self):
@@ -44,49 +36,8 @@ class TestHillClimber:
                 hits += 1
         assert hits >= 3
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SwapHillClimber(start="nope")
-
     def test_stats(self):
         problem = random_serial_instance(8, cluster="quad", seed=2)
         r = SwapHillClimber().solve(problem)
         assert r.stats["evaluations"] >= 1
         assert r.stats["passes"] >= 1
-
-
-class TestAnnealing:
-    def test_never_worse_than_greedy_start(self):
-        problem = random_interaction_instance(12, cluster="quad", seed=3)
-        base = PolitenessGreedy().solve(problem).objective
-        problem.clear_caches()
-        sa = SimulatedAnnealing(iterations=2000, seed=1).solve(problem)
-        assert sa.objective <= base + 1e-9
-
-    def test_deterministic_by_seed(self):
-        problem = random_interaction_instance(12, cluster="quad", seed=4)
-        a = SimulatedAnnealing(iterations=500, seed=7).solve(problem)
-        problem.clear_caches()
-        b = SimulatedAnnealing(iterations=500, seed=7).solve(problem)
-        assert a.objective == pytest.approx(b.objective)
-        assert a.schedule == b.schedule
-
-    def test_bounded_below_by_optimum(self):
-        problem = random_serial_instance(8, cluster="quad", seed=5)
-        opt = OAStar().solve(problem).objective
-        problem.clear_caches()
-        sa = SimulatedAnnealing(iterations=1500, seed=0).solve(problem)
-        assert sa.objective >= opt - 1e-9
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SimulatedAnnealing(iterations=0)
-        with pytest.raises(ValueError):
-            SimulatedAnnealing(cooling=0.0)
-
-    def test_more_iterations_never_hurt(self):
-        problem = random_interaction_instance(16, cluster="quad", seed=6)
-        short = SimulatedAnnealing(iterations=200, seed=2).solve(problem)
-        problem.clear_caches()
-        lng = SimulatedAnnealing(iterations=4000, seed=2).solve(problem)
-        assert lng.objective <= short.objective + 1e-9

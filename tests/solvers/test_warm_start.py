@@ -18,7 +18,6 @@ from repro.solvers import (
     OAStar,
     OSVP,
     PolitenessGreedy,
-    SimulatedAnnealing,
     SwapHillClimber,
 )
 from repro.workloads.synthetic import (
@@ -28,7 +27,6 @@ from repro.workloads.synthetic import (
 
 SOLVERS = {
     "hill": lambda: SwapHillClimber(),
-    "anneal": lambda: SimulatedAnnealing(iterations=300, seed=2),
     "bb": lambda: BranchBoundIP(),
     "pg": lambda: PolitenessGreedy(),        # ignores warm starts entirely
     "fallback": lambda: FallbackChain(),
@@ -55,7 +53,7 @@ def test_warm_started_solver_never_worse_than_incumbent(name, seed):
     assert not ws["improved"]  # cannot beat the optimum
 
 
-@pytest.mark.parametrize("name", ["hill", "anneal", "bb", "fallback"])
+@pytest.mark.parametrize("name", ["hill", "bb", "fallback"])
 def test_warm_start_from_bad_incumbent_improves(name):
     problem = random_asymmetric_instance(8, seed=7)
     bad = _worst_schedule(problem)
@@ -119,7 +117,7 @@ def test_fallback_chain_threads_incumbent_through_stages():
     problem = random_serial_instance(8, seed=13)
     incumbent = OAStar().solve(problem).schedule
     chain = FallbackChain(
-        members=[SwapHillClimber(max_passes=1), PolitenessGreedy()],
+        members=[SwapHillClimber(), PolitenessGreedy()],
     )
     result = chain.solve(problem, initial_schedule=incumbent)
     inc_obj = evaluate_schedule(problem, incumbent).objective

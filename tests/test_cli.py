@@ -96,11 +96,13 @@ class TestProfile:
         assert rc == 0
         assert "profile:" not in capsys.readouterr().out
 
-    def test_workers_flag_accepted(self, capsys):
-        rc = main(["solve", "--cluster", "dual", "--solver", "hastar",
-                   "--workers", "2", "BT", "CG", "EP", "FT"])
-        assert rc == 0
-        assert "machine 0" in capsys.readouterr().out
+    def test_solve_has_no_workers_flag(self, capsys):
+        # Solver fan-out is gone; only `serve` keeps --workers (threads).
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--cluster", "dual", "--workers", "2",
+                  "BT", "CG", "EP", "FT"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestBudgetFlag:

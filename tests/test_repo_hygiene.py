@@ -20,6 +20,8 @@ import re
 import pytest
 
 import repro
+from repro.runtime import REGISTRY, get_info
+from repro.runtime.registry import _COMPOSITE_PARAMS
 
 REPO = pathlib.Path(repro.__file__).resolve().parent.parent.parent
 SRC = REPO / "src" / "repro"
@@ -252,18 +254,63 @@ class TestDocsLint:
         assert not broken, "broken doc links:\n" + "\n".join(broken)
 
 
+def runtime_solver_rows():
+    """``{name: [aliases, kind, currencies, scenarios]}`` from the solver
+    table in docs/RUNTIME.md, plus the list of names in row order."""
+    text = (REPO / "docs" / "RUNTIME.md").read_text()
+    header = "| name | aliases | kind | budget currencies | scenarios |"
+    assert header in text, "docs/RUNTIME.md lost its solver table"
+    rows, names = {}, []
+    for line in text.split(header, 1)[1].splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        assert len(cells) == 5, f"malformed solver row: {line}"
+        name = cells[0].strip("`")
+        names.append(name)
+        rows[name] = cells[1:]
+    return rows, names
+
+
+class TestRuntimeSolverTable:
+    """docs/RUNTIME.md's registry table is pinned to ``REGISTRY``."""
+
+    def test_one_row_per_registered_solver(self):
+        _, names = runtime_solver_rows()
+        assert sorted(names) == sorted(REGISTRY)
+        assert len(names) == len(set(names)), "duplicate solver rows"
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_row_matches_solver_info(self, name):
+        rows, _ = runtime_solver_rows()
+        assert name in rows, f"docs/RUNTIME.md has no row for {name!r}"
+        aliases, kind, currencies, scenarios = rows[name]
+        info = get_info(name)
+        assert re.findall(r"`([^`]+)`", aliases) == list(info.aliases)
+        assert kind.split()[0] == ("exact" if info.exact else "heuristic")
+        listed = [] if currencies.startswith("—") else [
+            c.strip() for c in currencies.split(",")]
+        assert listed == list(info.budget_currencies)
+        full = frozenset({"heterogeneous", "constraints"})
+        expected = {
+            frozenset(): "no",
+            full: ("members' intersection" if name in _COMPOSITE_PARAMS
+                   else "yes"),
+        }[info.scenario_flags()]
+        assert scenarios == expected
+
+
 def solver_class_names():
-    """Every concrete Solver subclass the package exports, plus the
-    parallel wrappers — the classes only the runtime layer may build."""
+    """Every concrete Solver subclass the package exports — the classes
+    only the runtime layer may build."""
     import repro.solvers as solvers
     from repro.solvers.base import Solver
 
-    names = {
+    return {
         name for name in solvers.__all__
         if isinstance(getattr(solvers, name), type)
         and issubclass(getattr(solvers, name), Solver)
     }
-    return names | {"PortfolioSolver"}
 
 
 class TestSolverConstructionBoundary:
@@ -274,16 +321,13 @@ class TestSolverConstructionBoundary:
     ``solvers.OAStar(...)`` alike, without false positives on docs or
     comments."""
 
-    ALLOWED = ("runtime", "solvers", "parallel")
+    ALLOWED = ("runtime", "solvers")
 
     def test_no_direct_solver_construction_outside_runtime(self):
         banned = solver_class_names()
         offenders = []
         for path in sorted(SRC.rglob("*.py")):
             rel = path.relative_to(SRC)
-            # repro/parallel defines PortfolioSolver (built by the
-            # registry's factory); the members it runs resolve through
-            # create_solver.
             if rel.parts[0] in self.ALLOWED:
                 continue
             tree = ast.parse(path.read_text())

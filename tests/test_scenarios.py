@@ -228,7 +228,7 @@ class TestScenarioProblem:
 
 
 EXACT = ("brute", "oastar", "osvp")
-HEURISTIC = ("hastar", "pg", "hill", "anneal")
+HEURISTIC = ("hastar", "pg", "hill")
 
 
 class TestScenarioSolvers:
