@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
 class JobKind(enum.Enum):
@@ -120,6 +120,17 @@ class Workload:
                 procs.append(Process(pid=pid, job_id=-1, rank=0, imaginary=True))
                 pid += 1
         self.processes: Tuple[Process, ...] = tuple(procs)
+        # The workload never changes after construction, so the per-job pid
+        # tuples and the parallel-job tuple are built once here.
+        pids_of: Dict[int, List[int]] = {}
+        for proc in self.processes:
+            pids_of.setdefault(proc.job_id, []).append(proc.pid)
+        self._pids_of: Dict[int, Tuple[int, ...]] = {
+            jid: tuple(pids) for jid, pids in pids_of.items()
+        }
+        self._parallel_jobs: Tuple[Job, ...] = tuple(
+            j for j in self.jobs if j.is_parallel
+        )
 
     # ------------------------------------------------------------------ #
 
@@ -139,7 +150,7 @@ class Workload:
 
     @property
     def parallel_jobs(self) -> Tuple[Job, ...]:
-        return tuple(j for j in self.jobs if j.is_parallel)
+        return self._parallel_jobs
 
     def job_of(self, pid: int) -> Optional[Job]:
         """The job owning process ``pid`` (None for imaginary processes)."""
@@ -153,7 +164,7 @@ class Workload:
 
     def processes_of(self, job_id: int) -> Tuple[int, ...]:
         """Process ids of job ``job_id``, in rank order."""
-        return tuple(p.pid for p in self.processes if p.job_id == job_id)
+        return self._pids_of.get(job_id, ())
 
     def is_imaginary(self, pid: int) -> bool:
         return self.processes[pid].imaginary

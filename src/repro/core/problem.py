@@ -140,6 +140,9 @@ class CoSchedulingProblem:
             or len(set(scale)) > 1
         )
         self._machine_order: Optional[Tuple[int, ...]] = None
+        #: The service codec's canonical job order, computed on first use
+        #: (:func:`repro.service.codec.problem_fingerprint`).
+        self._canonical_jobs: Optional[Tuple[list, Dict[int, int]]] = None
         self._machine_node_cache: Dict[Tuple[int, Tuple[int, ...]], float] = {}
         #: Optional callable ``node -> float`` adding a non-negative cost to
         #: every machine grouping beyond its members' degradations.  Used by

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ..core.problem import CoSchedulingProblem
 from ..core.schedule import CoSchedule
@@ -49,6 +48,8 @@ def migration_count(old: CoSchedule, new: CoSchedule) -> int:
     maximize agreement (Hungarian assignment on overlap); every VM outside
     its group's matched predecessor counts as one migration.
     """
+    from scipy.optimize import linear_sum_assignment
+
     if old.n != new.n or old.u != new.u:
         raise ValueError("schedules must cover the same processes")
     m = old.n_machines

@@ -14,11 +14,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
 
 from ..core.problem import CoSchedulingProblem
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["CoSchedulingGraph", "START", "END"]
 
@@ -118,6 +119,8 @@ class CoSchedulingGraph:
         (no shared processes) — the superset of edges from which valid paths
         are drawn.  Only sensible for teaching-size instances.
         """
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_node(START, weight=0.0, level=-1)
         g.add_node(END, weight=0.0, level=self.n_levels)

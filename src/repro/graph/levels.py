@@ -5,7 +5,7 @@ the smallest process id in the node.  A search state is the set of already
 scheduled processes; its *valid level* is the smallest unscheduled pid, and
 its successors are the nodes ``{level_pid} ∪ (u-1 unscheduled others)``.
 
-:class:`SuccessorGenerator` enumerates successors with three optimizations:
+:class:`SuccessorGenerator` enumerates successors with four optimizations:
 
 * **PE bucketing** — processes of one PE job are fully interchangeable, so
   only the lowest-ranked unscheduled processes of each PE job are ever
@@ -662,6 +662,8 @@ class HeuristicEstimator:
         n_levels = n - u + 1
         if self.level_mode == "exact":
             level_min = [math.inf] * n_levels
+            # Only Strategy 1 reads the sorted (weight, level) list.
+            keep_nodes = self.strategy == 1
             all_nodes: List[Tuple[float, int]] = []
             # Serial-only workloads with no extra node cost have
             # node_h_weight == node_weight for either h_parallel mode, so
@@ -681,15 +683,18 @@ class HeuristicEstimator:
                 if batch_ok:
                     weights = self.problem.node_weights_batch(nodes)
                     level_min[L] = float(weights.min()) if len(weights) else math.inf
-                    all_nodes.extend((float(w), L) for w in weights)
+                    if keep_nodes:
+                        all_nodes.extend((float(w), L) for w in weights)
                 else:
                     for node in nodes:
                         w = self._h_node_weight(node)
-                        all_nodes.append((w, L))
+                        if keep_nodes:
+                            all_nodes.append((w, L))
                         if w < level_min[L]:
                             level_min[L] = w
-            all_nodes.sort()
-            self._node_weights_sorted = all_nodes
+            if keep_nodes:
+                all_nodes.sort()
+                self._node_weights_sorted = all_nodes
             return level_min
 
         if self.level_mode == "monotone":

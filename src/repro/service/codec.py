@@ -488,6 +488,19 @@ def _canonical_jobs(problem: CoSchedulingProblem) -> Tuple[list, Dict[int, int]]
     return jobs_canon, new_pid_of
 
 
+def _canonical_order(problem: CoSchedulingProblem) -> Tuple[list, Dict[int, int]]:
+    """:func:`_canonical_jobs`, memoized on the problem.
+
+    A problem's workload and model never change after construction, so
+    the fingerprint, the pid map and every schedule translation of one
+    problem share a single canonicalization pass.  The result is shared:
+    callers must not mutate it.
+    """
+    if problem._canonical_jobs is None:
+        problem._canonical_jobs = _canonical_jobs(problem)
+    return problem._canonical_jobs
+
+
 def canonical_pid_map(problem: CoSchedulingProblem) -> List[int]:
     """``pid -> canonical pid`` over *all* ``n`` processes.
 
@@ -499,7 +512,7 @@ def canonical_pid_map(problem: CoSchedulingProblem) -> List[int]:
     labeling and the canonical one — which is how the solution store
     serves one cached schedule to every relabeling of the same problem.
     """
-    _, new_pid_of = _canonical_jobs(problem)
+    _, new_pid_of = _canonical_order(problem)
     wl = problem.workload
     out = [-1] * wl.n
     for old, new in new_pid_of.items():
@@ -564,7 +577,7 @@ def canonical_problem(problem: CoSchedulingProblem) -> dict:
     wl = problem.workload
     model = problem.model
 
-    jobs_canon, new_pid_of = _canonical_jobs(problem)
+    jobs_canon, new_pid_of = _canonical_order(problem)
 
     model_canon: dict = {"type": None}
     if isinstance(model, SDCDegradationModel):

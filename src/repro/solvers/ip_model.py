@@ -24,14 +24,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..core.jobs import JobKind
 from ..core.problem import CoSchedulingProblem
 from ..core.schedule import CoSchedule
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["IPFormulation", "build_formulation"]
 
@@ -89,6 +91,8 @@ def build_formulation(
     problem: CoSchedulingProblem, max_subsets: int = 2_000_000
 ) -> IPFormulation:
     """Enumerate all C(n, u) subsets and assemble the sparse MILP."""
+    import scipy.sparse as sp
+
     n, u = problem.n, problem.u
     n_x = math.comb(n, u)
     if n_x > max_subsets:

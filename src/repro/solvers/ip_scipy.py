@@ -9,7 +9,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ..core.problem import CoSchedulingProblem
 from .base import SolveResult, Solver
@@ -36,6 +35,8 @@ class ScipyMILP(Solver):
         self.mip_rel_gap = mip_rel_gap
 
     def _solve(self, problem: CoSchedulingProblem) -> SolveResult:
+        from scipy.optimize import Bounds, LinearConstraint, milp
+
         budget = self._active_budget()
         form = build_formulation(problem)
         nv = form.n_vars

@@ -480,3 +480,38 @@ def test_scenario_cache_hit_across_machine_reordering():
         assert evaluate_schedule(
             flipped, t2.schedule
         ).objective == pytest.approx(t1.objective)
+
+
+def test_one_canonicalization_per_request(monkeypatch):
+    from repro.service import codec
+
+    calls = []
+    real = codec._canonical_jobs
+
+    def counting(problem):
+        calls.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(codec, "_canonical_jobs", counting)
+    with SolveService(workers=1, default_solver="pg") as svc:
+        # Fingerprint, pid map and the record's translation.
+        miss = svc.submit(relabeled_problem(list(range(8))))
+        assert miss.wait(30.0) and miss.disposition == "solved"
+        assert len(calls) == 1
+        # Fingerprint, pid map and the localization of the stored schedule.
+        hit = svc.submit(relabeled_problem([3, 1, 4, 0, 5, 2, 7, 6]))
+        assert hit.disposition == "cache_hit"
+        assert len(calls) == 2
+        # A refine adds the warm start's translation.
+        warm = svc.submit(relabeled_problem([1, 0, 3, 2, 5, 4, 7, 6]),
+                          solver="hill", refine=True)
+        assert warm.wait(30.0) and warm.warm_started
+        assert len(calls) == 3
+    shed_svc = SolveService(workers=1, max_queue=1, default_solver="pg",
+                            shed_policy="pg")
+    shed_svc.submit(make_problem(50))
+    calls.clear()
+    shed = shed_svc.submit(make_problem(51))
+    assert shed.disposition == "shed"
+    assert len(calls) == 1
+    shed_svc.stop()

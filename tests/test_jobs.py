@@ -76,6 +76,23 @@ class TestWorkload:
         wl = make_workload()
         assert [j.name for j in wl.parallel_jobs] == ["p"]
 
+    def test_precomputed_lookups_match_a_scan(self):
+        jobs = [
+            serial_job(0, "a"),
+            pe_job(1, "p", nprocs=3),
+            pc_job(2, "c", topology=grid_2d(2, 2, 1.0)),
+            serial_job(3, "b"),
+        ]
+        wl = Workload(jobs, cores_per_machine=4)  # 9 real processes -> 3 pads
+        assert wl.n_imaginary == 3
+        for job_id in [-1, *range(wl.n_jobs), wl.n_jobs, 99]:
+            scan = tuple(p.pid for p in wl.processes if p.job_id == job_id)
+            assert wl.processes_of(job_id) == scan, job_id
+        assert wl.processes_of(-1) == (9, 10, 11)
+        assert wl.processes_of(99) == ()
+        assert wl.parallel_jobs == tuple(j for j in wl.jobs if j.is_parallel)
+        assert [j.name for j in wl.parallel_jobs] == ["p", "c"]
+
     def test_invalid_cores(self):
         with pytest.raises(ValueError, match="cores_per_machine"):
             Workload([serial_job(0, "a")], cores_per_machine=0)

@@ -14,8 +14,13 @@ CI runs this file as its own job.
 
 import ast
 import importlib
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -50,6 +55,37 @@ class TestImports:
 
     def test_version(self):
         assert repro.__version__ == "1.0.0"
+
+    def test_solve_and_serve_paths_load_neither_scipy_nor_networkx(self):
+        # SciPy and NetworkX are imported where they are used (the IP
+        # backends and the graph export), so a fresh interpreter that only
+        # imports the package and runs the search heuristics loads neither.
+        script = textwrap.dedent(
+            """
+            import json, sys
+            import repro, repro.runtime, repro.cli, repro.service
+            from repro.runtime import run_solve
+            from repro.workloads import random_serial_instance
+
+            p = random_serial_instance(8, cluster="dual", seed=3)
+            objs = {s: run_solve(p, s).objective
+                    for s in ("hastar", "oastar", "osvp", "pg", "hill")}
+            loaded = [m for m in ("scipy", "networkx") if m in sys.modules]
+            for s in ("ip", "bb"):
+                objs[s] = run_solve(p, s).objective
+            print(json.dumps({"loaded": loaded, "objs": objs}))
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, cwd=REPO,
+            capture_output=True, text=True, check=True, timeout=300,
+        )
+        report = json.loads(out.stdout.strip().splitlines()[-1])
+        assert report["loaded"] == []
+        objs = report["objs"]
+        for s in ("ip", "bb"):
+            assert objs[s] == pytest.approx(objs["oastar"], rel=1e-9), s
 
 
 class TestDocsConsistency:
