@@ -4,10 +4,16 @@ The acceptance bar for the native backend is >= 2x on at least one of the
 measured hot spots (pairwise node weights, pressure node weights, the SDC
 merge walk, the MER level select) at level-scoring sizes — in practice the
 cc build lands 3-9x on the two node-weight kernels and far more on the
-select.  A second guard checks the other direction: routing the NumPy
-fallback through the dispatcher must not cost more than 5% over calling
-the reference directly, so ``COSCHED_NATIVE=0`` (and compiler-less hosts)
+select.  HA*'s fused MER window trim must beat the same provider's
+gather + score + select composition >= 2x at hastar-n64's window size.  A
+second guard checks the other direction: routing the NumPy fallback
+through the dispatcher must not cost more than 5% over calling the
+reference directly, so ``COSCHED_NATIVE=0`` (and compiler-less hosts)
 keep the old performance.
+
+Both sides of every comparison are timed interleaved in one loop (best
+of per side), so a slow spell of a shared host hits both alike instead
+of whichever side happened to run during it.
 
 Skips (rather than fails) when no native provider loads, so the suite is
 meaningful on machines without a C compiler.
@@ -22,20 +28,25 @@ import time
 import numpy as np
 import pytest
 
+from repro.graph.levels import _mer_window
 from repro.perf.kernels import native, numpy_backend
 
 REPEATS = 9
 
 
-def best_of(fn, repeats=REPEATS):
-    """Best wall time over ``repeats`` runs (1 warmup) — noise-robust."""
-    fn()
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
+def best_of_pair(fn_a, fn_b, repeats=REPEATS):
+    """Best wall times of ``fn_a`` and ``fn_b`` (one warmup each), timed
+    alternately in one loop: each repeat runs both back to back."""
+    fns = (fn_a, fn_b)
+    best = [float("inf"), float("inf")]
+    for fn in fns:
         fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+    for _ in range(repeats):
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best[0], best[1]
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +81,8 @@ def inputs():
 class TestNativeSpeedup:
     def test_pairwise_at_least_2x(self, impl, inputs):
         P, _, nodes = inputs
-        t_native = best_of(lambda: impl.pairwise_node_weights(P, nodes))
-        t_numpy = best_of(
+        t_native, t_numpy = best_of_pair(
+            lambda: impl.pairwise_node_weights(P, nodes),
             lambda: numpy_backend.pairwise_node_weights(P, nodes))
         speedup = t_numpy / t_native
         print(f"\npairwise: native {t_native*1e3:.2f}ms "
@@ -80,10 +91,9 @@ class TestNativeSpeedup:
 
     def test_pressure_linear_at_least_2x(self, impl, inputs):
         _, rates, nodes = inputs
-        t_native = best_of(
+        t_native, t_numpy = best_of_pair(
             lambda: impl.pressure_node_weights(rates, rates, nodes,
-                                               0.33, None))
-        t_numpy = best_of(
+                                               0.33, None),
             lambda: numpy_backend.pressure_node_weights(rates, rates, nodes,
                                                         0.33, None))
         speedup = t_numpy / t_native
@@ -95,10 +105,9 @@ class TestNativeSpeedup:
         # The saturating response is exp-bound on both sides; the compiled
         # loop must at least hold its ground.
         _, rates, nodes = inputs
-        t_native = best_of(
+        t_native, t_numpy = best_of_pair(
             lambda: impl.pressure_node_weights(rates, rates, nodes,
-                                               0.33, 0.9))
-        t_numpy = best_of(
+                                               0.33, 0.9),
             lambda: numpy_backend.pressure_node_weights(rates, rates, nodes,
                                                         0.33, 0.9))
         print(f"pressure-saturating: native {t_native*1e3:.2f}ms "
@@ -114,8 +123,8 @@ class TestNativeSpeedup:
         np.testing.assert_array_equal(
             cc_impl.select_smallest(weights, k),
             numpy_backend.select_smallest(weights, k))
-        t_native = best_of(lambda: cc_impl.select_smallest(weights, k))
-        t_numpy = best_of(
+        t_native, t_numpy = best_of_pair(
+            lambda: cc_impl.select_smallest(weights, k),
             lambda: numpy_backend.select_smallest(weights, k))
         speedup = t_numpy / t_native
         print(f"select-smallest: native {t_native*1e3:.3f}ms "
@@ -135,11 +144,42 @@ class TestNativeSpeedup:
                     fn(counters, weights, 64)
             return run
 
-        t_native = best_of(many(impl.sdc_merge_ways))
-        t_numpy = best_of(many(numpy_backend.sdc_merge_ways))
+        t_native, t_numpy = best_of_pair(
+            many(impl.sdc_merge_ways), many(numpy_backend.sdc_merge_ways))
         print(f"sdc-merge: native {t_native*1e3:.2f}ms "
               f"numpy {t_numpy*1e3:.2f}ms  x{t_numpy/t_native:.2f}")
         assert t_numpy / t_native >= 1.2
+
+    def test_window_trim_at_least_2x(self, cc_impl):
+        # hastar-n64's MER window: limit = 64/4 = 16 over k = 3 co-runners
+        # is 174 rows, saturating phi.  One fused call against the same
+        # provider's gather + pressure kernel + select, 200 trims a sample.
+        rng = np.random.default_rng(3)
+        rates = rng.uniform(0.15, 0.75, size=64)
+        table = _mer_window(16, 3, 18, 10**6)
+        assert len(table) == 174
+        ranked = np.argsort(rates)[1:19].astype(np.intp)
+        level_pid = int(np.argsort(rates)[0])
+
+        def fused():
+            for _ in range(200):
+                cc_impl.pressure_window_trim(rates, rates, 1 / 3, 4.0,
+                                             level_pid, ranked, table, 16)
+
+        def composed():
+            for _ in range(200):
+                rows = np.empty((len(table), 4), dtype=np.intp)
+                rows[:, 0] = level_pid
+                rows[:, 1:] = ranked[table]
+                w = cc_impl.pressure_node_weights(rates, rates, rows,
+                                                  1 / 3, 4.0)
+                cc_impl.select_smallest(w, 16)
+
+        t_fused, t_composed = best_of_pair(fused, composed)
+        speedup = t_composed / t_fused
+        print(f"window-trim: fused {t_fused / 200 * 1e6:.1f}us "
+              f"composed {t_composed / 200 * 1e6:.1f}us  x{speedup:.2f}")
+        assert speedup >= 2.0
 
 
 class TestFallbackNoRegression:
@@ -157,8 +197,8 @@ class TestFallbackNoRegression:
         def dispatched():
             impl_ref.pairwise_node_weights(P, nodes)
 
-        t_direct = best_of(direct, repeats=15)
-        t_dispatched = best_of(dispatched, repeats=15)
+        t_direct, t_dispatched = best_of_pair(direct, dispatched,
+                                              repeats=15)
         print(f"\nfallback dispatch: direct {t_direct*1e3:.2f}ms "
               f"dispatched {t_dispatched*1e3:.2f}ms")
         assert t_dispatched <= t_direct * 1.05

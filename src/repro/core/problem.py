@@ -539,6 +539,14 @@ class CoSchedulingProblem:
         self.counters.observe_batch("node_weights_batch", len(nodes))
         return out
 
+    def count_direct_evals(self, rows: int) -> None:
+        """Charge ``rows`` node weights scored by the model kernel outside
+        the memo (lazy frontiers, MER windows) to ``stats`` and to the
+        ``node_weight_direct`` counter, which ``max_weight_evals`` reads
+        beside the memo-miss counters."""
+        self.stats["node_evals"] += rows
+        self.counters.incr("node_weight_direct", rows)
+
     def extra_cost(self, node: Tuple[int, ...]) -> float:
         """Node-level extra cost (0 unless an extension installs one)."""
         if self.node_extra_cost is None:

@@ -13,11 +13,12 @@ its successors are the nodes ``{level_pid} ∪ (u-1 unscheduled others)``.
 * **PC condensation** — Section III-E: successors with identical serial
   content and identical per-PC-job communication properties are collapsed to
   one representative;
-* **lazy monotone enumeration** — for member-wise monotone models at scale,
-  successors stream in ascending weight without materializing the level;
-* **MER window** — for HA*'s trim on member-monotone models, a small
-  candidate set provably holding the ``limit`` lightest nodes is scored in
-  one kernel call (see :func:`_mer_window`).
+* **lazy monotone enumeration** — for member-wise monotone models and no
+  extra node cost, successors stream in ascending weight at scale;
+* **MER window** — every HA* trim on such a model with a ``window_trim``
+  (batch-scored), at any level size, gathers, scores, selects and sorts a
+  small candidate set provably holding the ``limit`` lightest nodes in one
+  compiled call (see :func:`_mer_window`).
 
 :class:`HeuristicEstimator` implements the paper's two h(v) strategies
 (Section III-D) over precomputed per-level minimum weights, in several
@@ -170,14 +171,15 @@ class SuccessorGenerator:
             for pid in wl.iter_pids()
         ]
         self._has_parallel = any(k is not JobKind.SERIAL for k in self._kind)
-        self._monotone_ok = (
-            problem.model.is_member_monotone() and not self._has_parallel
-        )
+        # Pressure-ordered streams and windows score the bare model, so a
+        # per-node extra cost (a migration penalty) rules them all out.
+        plain = not self._has_parallel and problem.node_extra_cost is None
+        self._monotone_ok = plain and problem.model.is_member_monotone()
         # Every pid in (pressure, pid) order — the heap enumerator's rank
-        # order, computed once instead of once per MER-window expansion.
+        # order, computed once; non-empty iff the model trims MER windows.
         self._rank_order: List[int] = (
             sorted(range(problem.n), key=problem.model.pressure)
-            if self._monotone_ok and problem.model.supports_batch()
+            if self._monotone_ok and hasattr(problem.model, "window_trim")
             else []
         )
         # Proxy streaming: the model exposes a pressure rank key and a fast
@@ -186,7 +188,7 @@ class SuccessorGenerator:
         # with oversampling; exact searches never do.
         model = problem.model
         self._proxy_ok = (
-            not self._has_parallel
+            plain
             and not self._monotone_ok
             and callable(getattr(model, "node_weight_fast", None))
             and self._has_pressure(model)
@@ -362,11 +364,10 @@ class SuccessorGenerator:
         if len(rest) < k:
             return []
 
-        if (
-            limit is not None
-            and (self._monotone_ok or self._proxy_ok)
+        if limit is not None and (self._rank_order or (
+            (self._monotone_ok or self._proxy_ok)
             and math.comb(len(rest), k) > max(4 * limit, self.lazy_threshold)
-        ):
+        )):
             return self._successors_lazy(level_pid, rest, k, limit)
 
         if self._presort_ok:
@@ -484,21 +485,20 @@ class SuccessorGenerator:
         Maps a batch of (u-1)-subsets to full nodes and runs ONE vectorized
         model-kernel call; None when the model has no vectorized kernel
         (the enumerator then falls back to scalar ``weight`` calls).
-        Bypasses the problem memo — lazy frontiers are throw-away — which
-        also means extra node costs must be absent, matching the existing
-        ``node_weight_fast`` streaming contract.
+        Bypasses the problem memo — lazy frontiers are throw-away — so
+        extra node costs must be absent, as every lazy stream requires.
         """
-        model = self.problem.model
-        if not model.supports_batch():
+        problem = self.problem
+        if not problem.model.supports_batch():
             return None
-        counters = self.problem.counters
 
         def weight_batch(subs: List[Tuple[int, ...]]) -> np.ndarray:
             arr = np.empty((len(subs), k + 1), dtype=np.intp)
             arr[:, 0] = level_pid
             arr[:, 1:] = subs
-            counters.observe_batch("lazy_frontier", len(subs))
-            return model.node_weights_batch(arr)
+            problem.counters.observe_batch("lazy_frontier", len(subs))
+            problem.count_direct_evals(len(subs))
+            return problem.model.node_weights_batch(arr)
 
         return weight_batch
 
@@ -508,13 +508,12 @@ class SuccessorGenerator:
         """First ``limit`` successors in ascending weight, without
         materializing the level.
 
-        For member-monotone models with a batch kernel the MER window
-        (:func:`_mer_window`) is scored in one call, unless it exceeds
-        ``MER_WINDOW_MAX_ROWS``; otherwise the heap enumeration is exactly
-        sorted.  For proxy models (``_proxy_ok``) the stream is only
-        approximately sorted, so we oversample 4x and keep the ``limit``
-        lowest true weights — the documented approximation HA* uses at
-        scale.
+        Models that trim MER windows score the window (:func:`_mer_window`)
+        in one call, unless it exceeds ``MER_WINDOW_MAX_ROWS``; otherwise
+        the heap enumeration is exactly sorted.  For proxy models
+        (``_proxy_ok``) the stream is only approximately sorted, so we
+        oversample 4x and keep the ``limit`` lowest true weights — the
+        documented approximation HA* uses at scale.
         """
         if self._rank_order:
             width = min(len(rest), limit + k - 1)
@@ -547,12 +546,14 @@ class SuccessorGenerator:
         self, level_pid: int, rest: Tuple[int, ...], table: np.ndarray,
         width: int, limit: int,
     ) -> List[Tuple[Tuple[int, ...], float]]:
-        """The heap's first ``limit`` successors, from one kernel call.
+        """The heap's first ``limit`` successors, from one compiled call.
 
-        Rows are laid out exactly as the heap scores them (level pid, then
-        the subset in rank order) and ``table`` is in lexicographic order,
-        so the stable selection's position tie-break IS the heap's
-        ``(weight, index-tuple)`` order: same nodes, order and weights.
+        ``table`` indexes the first ``width`` unscheduled pids in rank
+        order.  The model's ``window_trim`` scores each row as the heap
+        does (level pid, then the subset in rank order) and keeps the
+        lightest in ``(weight, row)`` order; ``table`` is lexicographic,
+        so that IS the heap's ``(weight, index-tuple)`` order: same nodes,
+        order and weights.  Every scored row counts as a weight evaluation.
         """
         unsched = set(rest)
         ranked = np.fromiter(
@@ -561,16 +562,11 @@ class SuccessorGenerator:
             ),
             dtype=np.intp, count=width,
         )
-        rows = np.empty((len(table), table.shape[1] + 1), dtype=np.intp)
-        rows[:, 0] = level_pid
-        rows[:, 1:] = ranked[table]
-        self.problem.counters.observe_batch("mer_window", len(rows))
-        weights = self.problem.model.node_weights_batch(rows)
-        sel = _kernels.select_smallest(weights, limit)
-        out = [
-            (tuple(sorted(row)), w)
-            for row, w in zip(rows[sel].tolist(), weights[sel].tolist())
-        ]
+        self.problem.counters.observe_batch("mer_window", len(table))
+        self.problem.count_direct_evals(len(table))
+        nodes, weights = self.problem.model.window_trim(
+            level_pid, ranked, table, limit)
+        out = list(zip(map(tuple, nodes.tolist()), weights.tolist()))
         self.stats["generated"] += len(out)
         return out
 

@@ -30,8 +30,9 @@ produced it.
 
 from __future__ import annotations
 
+import itertools
 import os
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +44,7 @@ __all__ = [
     "native_disabled",
     "pairwise_node_weights",
     "pressure_node_weights",
+    "pressure_window_trim",
     "sdc_merge_ways",
     "select_smallest",
 ]
@@ -98,6 +100,21 @@ def _self_check(impl) -> bool:
                 numpy_backend.select_smallest(w, k)
             ):
                 return False
+        # A quad-core MER window (k = 3, every index tuple of 7 ranked
+        # pids) with a zero-rate pad tie; limits 1, within and beyond it.
+        table = np.array(list(itertools.combinations(range(7), 3)),
+                         dtype=np.intp)
+        ranked = rng.permutation(np.arange(1, n)[:7]).astype(np.intp)
+        m[ranked[0]] = m[ranked[1]] = 0.0
+        for sat in (None, 0.9):
+            for limit in (1, 16, 99):
+                ref = numpy_backend.pressure_window_trim(
+                    m, m, 0.31, sat, 0, ranked, table, limit)
+                got = impl.pressure_window_trim(
+                    m, m, 0.31, sat, 0, ranked, table, limit)
+                if not (np.array_equal(ref[0], got[0])
+                        and np.allclose(ref[1], got[1], rtol=0, atol=1e-12)):
+                    return False
         return True
     except Exception:
         return False
@@ -159,6 +176,23 @@ def pressure_node_weights(
 ) -> np.ndarray:
     """Batch ``sum_i s_i * kappa * phi(A_T - a_i)`` node weights."""
     return _IMPL.pressure_node_weights(sens, aggr, nodes, kappa, saturation)
+
+
+def pressure_window_trim(
+    sens: np.ndarray,
+    aggr: np.ndarray,
+    kappa: float,
+    saturation: Optional[float],
+    level_pid: int,
+    ranked: np.ndarray,
+    table: np.ndarray,
+    limit: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """HA*'s MER trim of one window in one call: the ``limit`` lightest
+    rows ``[level_pid, ranked[table[r]]]`` as ``(sorted nodes, weights)``,
+    kept in ``(weight, row)`` order."""
+    return _IMPL.pressure_window_trim(sens, aggr, kappa, saturation,
+                                      level_pid, ranked, table, limit)
 
 
 def sdc_merge_ways(

@@ -12,7 +12,10 @@
  *     merge walk (a pure-Python double loop in the fallback);
  *   - select_smallest       : bounded selection of the k lowest weights
  *     with (weight, index) ordering — the MER top-n/u rule — so eager
- *     level expansion never materializes Python tuples to re-partition.
+ *     level expansion never materializes Python tuples to re-partition;
+ *   - pressure_window_trim  : HA*'s MER trim of one window in one call —
+ *     gather the rows, score them as pressure_node_weights does, keep
+ *     the limit lightest as select_smallest does, sort each kept node.
  *
  * Every function is numerically identical to the NumPy fallback in
  * repro/perf/kernels/numpy_backend.py: same IEEE double operations in the
@@ -44,31 +47,38 @@ void pairwise_node_weights(const double *P, int64_t n_procs,
     }
 }
 
-/* sum_i sens[i] * kappa * phi(sum_{j != i} aggr[j]) per node.
- * saturation <= 0 selects the linear response phi(x) = x;
+/* kappa * sum_i sens[row[i]] * phi(sum_{j != i} aggr[row[j]]) of one node.
+ * saturation <= 0 selects the linear response phi(x) = x. */
+static inline double pressure_row(const double *sens, const double *aggr,
+                                  const int64_t *row, int64_t u,
+                                  double kappa, double saturation)
+{
+    double asum = 0.0;
+    for (int64_t i = 0; i < u; i++)
+        asum += aggr[row[i]];
+    double total = 0.0;
+    if (saturation > 0.0) {
+        for (int64_t i = 0; i < u; i++) {
+            double others = asum - aggr[row[i]];
+            total += sens[row[i]] *
+                     (saturation * (1.0 - exp(-others / saturation)));
+        }
+    } else {
+        for (int64_t i = 0; i < u; i++)
+            total += sens[row[i]] * (asum - aggr[row[i]]);
+    }
+    return kappa * total;
+}
+
+/* sum_i sens[i] * kappa * phi(sum_{j != i} aggr[j]) per node;
  * MissRatePressureModel passes sens == aggr (the miss-rate vector). */
 void pressure_node_weights(const double *sens, const double *aggr,
                            const int64_t *nodes, int64_t N, int64_t u,
                            double kappa, double saturation, double *out)
 {
-    for (int64_t r = 0; r < N; r++) {
-        const int64_t *row = nodes + r * u;
-        double asum = 0.0;
-        for (int64_t i = 0; i < u; i++)
-            asum += aggr[row[i]];
-        double total = 0.0;
-        if (saturation > 0.0) {
-            for (int64_t i = 0; i < u; i++) {
-                double others = asum - aggr[row[i]];
-                total += sens[row[i]] *
-                         (saturation * (1.0 - exp(-others / saturation)));
-            }
-        } else {
-            for (int64_t i = 0; i < u; i++)
-                total += sens[row[i]] * (asum - aggr[row[i]]);
-        }
-        out[r] = kappa * total;
-    }
+    for (int64_t r = 0; r < N; r++)
+        out[r] = pressure_row(sens, aggr, nodes + r * u, u, kappa,
+                              saturation);
 }
 
 /* SDC merge: partition `assoc` cache ways among k co-running processes.
@@ -194,5 +204,57 @@ void select_smallest(const double *w, int64_t N, int64_t k, int64_t *out_idx)
             out_idx[m] = tt;
             p = m;
         }
+    }
+}
+
+/* One MER window of HA*'s trim (repro.graph.levels._mer_window): the
+ * inputs that stay fixed across a search's calls, and the buffers each
+ * call fills.  The caller refills ranked before every call. */
+typedef struct {
+    const double *sens, *aggr;
+    double kappa, saturation;
+    const int64_t *table;   /* rows x k indices into ranked */
+    int64_t rows, k, limit;
+    const int64_t *ranked;  /* the first unscheduled pids in rank order */
+    double *w;              /* rows: scratch weights */
+    int64_t *sel;           /* m = min(limit, rows): kept row indices */
+    int64_t *out_rows;      /* m x (k + 1): kept nodes, sorted */
+    double *out_w;          /* m: their weights */
+} window_plan;
+
+/* Row r is [level_pid, ranked[table[r][0]], ..., ranked[table[r][k-1]]],
+ * scored in that member order exactly as pressure_node_weights does; the
+ * m lightest in (weight, row) order are kept as select_smallest keeps
+ * them, and each is written sorted ascending with its weight.
+ * k + 1 <= 64. */
+void pressure_window_trim(const window_plan *p, int64_t level_pid)
+{
+    int64_t k = p->k, u = k + 1;
+    int64_t row[64];
+    row[0] = level_pid;
+    for (int64_t r = 0; r < p->rows; r++) {
+        const int64_t *t = p->table + r * k;
+        for (int64_t j = 0; j < k; j++)
+            row[j + 1] = p->ranked[t[j]];
+        p->w[r] = pressure_row(p->sens, p->aggr, row, u, p->kappa,
+                               p->saturation);
+    }
+    int64_t m = p->limit < p->rows ? p->limit : p->rows;
+    select_smallest(p->w, p->rows, m, p->sel);
+    for (int64_t i = 0; i < m; i++) {
+        const int64_t *t = p->table + p->sel[i] * k;
+        int64_t *out = p->out_rows + i * u;
+        out[0] = level_pid;
+        for (int64_t j = 0; j < k; j++)
+            out[j + 1] = p->ranked[t[j]];
+        for (int64_t a = 1; a < u; a++) { /* insertion sort: u is tiny */
+            int64_t v = out[a], b = a - 1;
+            while (b >= 0 && out[b] > v) {
+                out[b + 1] = out[b];
+                b--;
+            }
+            out[b + 1] = v;
+        }
+        p->out_w[i] = p->w[p->sel[i]];
     }
 }

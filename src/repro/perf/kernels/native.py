@@ -25,6 +25,7 @@ import hashlib
 import os
 import subprocess
 import tempfile
+import threading
 from array import array
 from pathlib import Path
 from typing import Optional, Sequence
@@ -49,6 +50,31 @@ _SDC_MIN_WORK = 256
 
 _F64 = ctypes.POINTER(ctypes.c_double)
 _I64 = ctypes.POINTER(ctypes.c_int64)
+_PTR = ctypes.c_void_p
+
+#: pressure_window_trim in C gathers each row into a fixed-size scratch;
+#: wider nodes (more cores per machine than this) use the NumPy reference.
+_WINDOW_MAX_U = 64
+
+#: Window plans one thread keeps (one per model vector, table and limit:
+#: an HA* solve at n = 64 makes about 16); the cache is emptied when it
+#: grows past this, so a long-lived service stays bounded.
+_WINDOW_PLANS_MAX = 64
+
+
+class _WindowPlan(ctypes.Structure):
+    """``window_plan`` of ``_kernels.c``: one MER window's fixed inputs
+    and the buffers its calls fill."""
+
+    _fields_ = [
+        ("sens", _PTR), ("aggr", _PTR),
+        ("kappa", ctypes.c_double), ("saturation", ctypes.c_double),
+        ("table", _PTR),
+        ("rows", ctypes.c_int64), ("k", ctypes.c_int64),
+        ("limit", ctypes.c_int64),
+        ("ranked", _PTR), ("w", _PTR), ("sel", _PTR),
+        ("out_rows", _PTR), ("out_w", _PTR),
+    ]
 
 
 def _cache_dir() -> Path:
@@ -109,6 +135,11 @@ class _CcBackend:
             _F64, ctypes.c_int64, ctypes.c_int64, _I64,
         ]
         lib.select_smallest.restype = None
+        lib.pressure_window_trim.argtypes = [_PTR, ctypes.c_int64]
+        lib.pressure_window_trim.restype = None
+        # Per thread, since ctypes drops the GIL during a call and a plan
+        # owns its output buffers.
+        self._local = threading.local()
 
     # ------------------------------------------------------------------ #
 
@@ -187,6 +218,69 @@ class _CcBackend:
             w.ctypes.data_as(_F64), len(w), k, out.ctypes.data_as(_I64),
         )
         return out
+
+    def _window_plan(self, sens, aggr, kappa, saturation, table, limit):
+        """This thread's plan for one window: ``(inputs, address, ranked
+        buffer, out_rows, out_w, kept alive)``.
+
+        Keyed by the identity of the model vectors and the table (the plan
+        holds them, so no id is reused meanwhile); each is converted to
+        float64 / int64 once, here, and never per call.
+        """
+        plans = getattr(self._local, "plans", None)
+        if plans is None:
+            plans = self._local.plans = {}
+        key = (id(sens), id(aggr), id(table), kappa, saturation, limit)
+        plan = plans.get(key)
+        if plan is not None:
+            s, a, t = plan[0]
+            if s is sens and a is aggr and t is table:
+                return plan
+        if table.min() < 0:
+            raise ValueError("window table indices must be non-negative")
+        rows, k = table.shape
+        m = min(limit, rows)
+        s = np.ascontiguousarray(sens, dtype=np.float64)
+        a = np.ascontiguousarray(aggr, dtype=np.float64)
+        t = np.ascontiguousarray(table, dtype=np.int64)
+        ranked = np.zeros(int(table.max()) + 1, dtype=np.int64)
+        w = np.empty(rows, dtype=np.float64)
+        sel = np.empty(m, dtype=np.int64)
+        out_rows = np.empty((m, k + 1), dtype=np.int64)
+        out_w = np.empty(m, dtype=np.float64)
+        struct = _WindowPlan(
+            s.ctypes.data, a.ctypes.data, kappa,
+            -1.0 if saturation is None else saturation,
+            t.ctypes.data, rows, k, limit, ranked.ctypes.data,
+            w.ctypes.data, sel.ctypes.data, out_rows.ctypes.data,
+            out_w.ctypes.data,
+        )
+        if len(plans) >= _WINDOW_PLANS_MAX:
+            plans.clear()
+        plan = plans[key] = (
+            (sens, aggr, table), ctypes.addressof(struct), ranked, out_rows,
+            out_w, (struct, s, a, t, w, sel),
+        )
+        return plan
+
+    def pressure_window_trim(self, sens, aggr, kappa, saturation, level_pid,
+                             ranked, table, limit):
+        """One C call: gather, score, select and sort a MER window.
+
+        The plan's addresses spare the call all per-argument marshalling,
+        which is most of a window's cost; its outputs are returned as
+        copies, so they outlive the plan's next call.
+        """
+        rows, k = table.shape
+        if k + 1 > _WINDOW_MAX_U or rows == 0 or limit <= 0:
+            return numpy_backend.pressure_window_trim(
+                sens, aggr, kappa, saturation, level_pid, ranked, table,
+                limit)
+        _, address, buf, out_rows, out_w, _ = self._window_plan(
+            sens, aggr, kappa, saturation, table, limit)
+        buf[...] = ranked[:len(buf)]
+        self._lib.pressure_window_trim(address, level_pid)
+        return out_rows.copy(), out_w.copy()
 
 
 def load_cc_backend() -> Optional[_CcBackend]:
@@ -318,6 +412,14 @@ class _NumbaBackend:
         # Selection is memory-bound; numba gains nothing over the stable
         # argsort, so the numba provider delegates.
         return numpy_backend.select_smallest(weights, k)
+
+    def pressure_window_trim(self, sens, aggr, kappa, saturation, level_pid,
+                             ranked, table, limit):
+        # pragma: no cover - requires numba
+        # The jitted pressure kernel scores; NumPy gathers and selects.
+        return numpy_backend.pressure_window_trim(
+            sens, aggr, kappa, saturation, level_pid, ranked, table, limit,
+            score=self.pressure_node_weights)
 
 
 def load_numba_backend() -> Optional[_NumbaBackend]:

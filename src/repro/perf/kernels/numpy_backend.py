@@ -10,13 +10,14 @@ selecting this backend reproduces the historical results bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "pairwise_node_weights",
     "pressure_node_weights",
+    "pressure_window_trim",
     "sdc_merge_ways",
     "select_smallest",
 ]
@@ -108,3 +109,29 @@ def select_smallest(weights: np.ndarray, k: int) -> np.ndarray:
     if k < len(order):
         order = order[:k]
     return order
+
+
+def pressure_window_trim(
+    sens: np.ndarray,
+    aggr: np.ndarray,
+    kappa: float,
+    saturation: Optional[float],
+    level_pid: int,
+    ranked: np.ndarray,
+    table: np.ndarray,
+    limit: int,
+    score=pressure_node_weights,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """HA*'s MER trim of one window: the ``limit`` lightest of its rows.
+
+    Row ``r`` is ``[level_pid, ranked[table[r]]]``, scored in that member
+    order by ``score`` (a :func:`pressure_node_weights` implementation);
+    the ``limit`` smallest in ``(weight, row)`` order come back as
+    ``(nodes, weights)``, each node sorted ascending.
+    """
+    rows = np.empty((len(table), table.shape[1] + 1), dtype=np.intp)
+    rows[:, 0] = level_pid
+    rows[:, 1:] = np.asarray(ranked)[table]
+    weights = score(sens, aggr, rows, kappa, saturation)
+    sel = select_smallest(weights, limit)
+    return np.sort(rows[sel], axis=1), weights[sel]

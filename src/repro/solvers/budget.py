@@ -33,7 +33,8 @@ __all__ = ["Budget", "BudgetState"]
 
 #: Counter names (on ``problem.counters``) that together count one weight
 #: evaluation each — the currency ``max_weight_evals`` is charged in.
-_WEIGHT_EVAL_COUNTERS = ("node_weight_scalar", "node_weight_batched")
+_WEIGHT_EVAL_COUNTERS = ("node_weight_scalar", "node_weight_batched",
+                         "node_weight_direct")
 
 
 @dataclass(frozen=True)

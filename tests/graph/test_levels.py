@@ -256,25 +256,28 @@ class TestMerWindow:
                                    saturation=saturation)
         u = problem.u
         n_pad = problem.n
-        gen = SuccessorGenerator(problem, lazy_threshold=1)
+        gen = SuccessorGenerator(problem)
         rng = np.random.default_rng(5)
         states = [tuple(range(n_pad))]
-        for drop in (u, 2 * u, 3 * u):
-            gone = rng.choice(n_pad, size=drop, replace=False)
-            states.append(tuple(p for p in range(n_pad) if p not in gone))
-        checked = 0
+        # Large states, then small ones down to two machines' worth: there
+        # the window is the whole level, often with |rest| < limit + k - 1.
+        for keep in (n_pad - u, n_pad - 2 * u, n_pad - 3 * u, 4 * u, 3 * u,
+                     2 * u):
+            kept = rng.choice(n_pad, size=keep, replace=False)
+            states.append(tuple(sorted(int(p) for p in kept)))
+        small = 0
         for state in states:
+            level = math.comb(len(state) - 1, u - 1)
             for limit in (1, 2, n_pad // u, 3 * n_pad // u):
-                if math.comb(len(state) - 1, u - 1) <= 4 * limit:
-                    continue  # dispatches to the eager path, not the trim
                 before = (window_batches(problem), gen.stats["generated"])
                 got = gen.successors(state, limit=limit)
                 assert window_batches(problem) == before[0] + 1
-                assert gen.stats["generated"] == before[1] + limit
+                assert len(got) == min(limit, level)
+                assert gen.stats["generated"] == before[1] + len(got)
                 # Same nodes, same order, bit-identical weights.
                 assert got == heap_first(problem, state, limit)
-                checked += 1
-        assert checked >= 8
+                small += len(state) - 1 < limit + u - 2
+        assert small >= 2
 
     def test_over_the_row_cap_takes_the_heap(self, monkeypatch):
         problem = pressure_problem(32, seed=2, saturation=4.0)

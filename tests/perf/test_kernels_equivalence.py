@@ -18,6 +18,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from repro.core.degradation import (
     MatrixDegradationModel,
     MissRatePressureModel,
 )
+from repro.graph.levels import _mer_window
 from repro.perf import kernels
 from repro.perf.kernels import native, numpy_backend
 
@@ -172,6 +174,126 @@ class TestSelectSmallest:
         w = np.array([3.0, 1.0, 2.0])
         assert list(kernels.select_smallest(w, 0)) == []
         assert list(kernels.select_smallest(w, 99)) == [1, 2, 0]
+
+
+def window_providers():
+    """Every compiled provider that loads here, by name."""
+    found = [(name, impl) for name, impl in (
+        ("cc", native.load_cc_backend()),
+        ("numba", native.load_numba_backend()),
+    ) if impl is not None]
+    if not found:
+        pytest.skip("no native kernel provider in this environment")
+    return found
+
+
+def window_case(rng, n, k, limit, pads=0):
+    """Rates (``pads`` zero-rate padding pids), a level pid, ``ranked``
+    and HA*'s MER window table for ``limit`` over ``k`` co-runners."""
+    rates = rng.uniform(0.15, 0.75, size=n)
+    rates[n - pads:] = 0.0
+    level_pid = int(rng.integers(0, n))
+    others = np.array([p for p in range(n) if p != level_pid])
+    width = min(len(others), limit + k - 1)
+    # Rank order: ascending rate, so the pads lead and tie.
+    ranked = others[np.argsort(rates[others], kind="stable")][:width]
+    table = _mer_window(limit, k, width, 10**6)
+    return rates, level_pid, ranked.astype(np.intp), table
+
+
+class TestPressureWindowTrim:
+    """HA*'s fused MER trim: same nodes, order and (to round-off) weights
+    as the NumPy reference; bit-identical to the provider's own
+    gather + pressure kernel + select composition."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("k", [3, 7], ids=["quad", "eight"])
+    @pytest.mark.parametrize("saturation", [None, 0.9, 4.0])
+    @pytest.mark.parametrize("limit", [1, 16, 10**4])
+    def test_matches_reference(self, seed, k, saturation, limit):
+        rng = np.random.default_rng(500 + seed)
+        n = 48 if limit != 10**4 else 12  # the last: limit > every row
+        rates, level_pid, ranked, table = window_case(
+            rng, n, k, min(limit, 64), pads=seed)
+        if limit == 10**4:
+            assert len(table) < limit
+        kappa = 1.0 / k
+        ref_nodes, ref_w = numpy_backend.pressure_window_trim(
+            rates, rates, kappa, saturation, level_pid, ranked, table,
+            limit)
+        assert len(ref_nodes) == min(limit, len(table))
+        assert (np.diff(ref_nodes, axis=1) > 0).all()
+        for name, impl in window_providers() + [("dispatch", kernels)]:
+            nodes, w = impl.pressure_window_trim(
+                rates, rates, kappa, saturation, level_pid, ranked, table,
+                limit)
+            np.testing.assert_array_equal(nodes, ref_nodes, err_msg=name)
+            np.testing.assert_allclose(w, ref_w, rtol=0, atol=ATOL,
+                                       err_msg=name)
+            if impl is kernels:
+                continue
+            rows = np.empty((len(table), k + 1), dtype=np.intp)
+            rows[:, 0] = level_pid
+            rows[:, 1:] = ranked[table]
+            own = impl.pressure_node_weights(rates, rates, rows, kappa,
+                                             saturation)
+            sel = numpy_backend.select_smallest(own, limit)
+            np.testing.assert_array_equal(w, own[sel], err_msg=name)
+
+    @pytest.mark.parametrize("k", [3, 7], ids=["quad", "eight"])
+    def test_equal_weight_rows_break_ties_by_row(self, k):
+        # Every real pid shares one rate and k + 2 pads are zero-rate, so
+        # whole blocks of rows weigh exactly the same: the kept rows must
+        # be the earliest of each block, in table order.
+        n = 40
+        rates = np.full(n, 0.4)
+        rates[n - (k + 2):] = 0.0
+        ranked = np.array(list(range(n - (k + 2), n))
+                          + list(range(1, 12)), dtype=np.intp)
+        table = _mer_window(16, k, len(ranked), 10**6)
+        ref_nodes, ref_w = numpy_backend.pressure_window_trim(
+            rates, rates, 0.5, 4.0, 0, ranked, table, 16)
+        assert len(np.unique(ref_w)) < len(ref_w)
+        for name, impl in window_providers():
+            nodes, w = impl.pressure_window_trim(
+                rates, rates, 0.5, 4.0, 0, ranked, table, 16)
+            np.testing.assert_array_equal(nodes, ref_nodes, err_msg=name)
+            np.testing.assert_array_equal(w, ref_w, err_msg=name)
+
+    def test_threads_keep_their_own_buffers(self):
+        # The service solves on worker threads; ctypes drops the GIL in the
+        # call, so each thread must read back its own window's nodes.  More
+        # threads than cores, switching as often as the interpreter allows.
+        rng = np.random.default_rng(11)
+        rates, level_pid, ranked, table = window_case(rng, 40, 3, 16)
+        orders = [np.roll(ranked, i) for i in range(4)]
+        refs = [numpy_backend.pressure_window_trim(
+            rates, rates, 0.3, 4.0, level_pid, r, table, 16)[0]
+            for r in orders]
+        for _name, impl in window_providers():
+            failures = []
+
+            def work(i):
+                for _ in range(300):
+                    nodes, _w = impl.pressure_window_trim(
+                        rates, rates, 0.3, 4.0, level_pid, orders[i], table,
+                        16)
+                    if not np.array_equal(nodes, refs[i]):
+                        failures.append(i)
+
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(len(orders))]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert not failures
 
 
 class TestForcedFallback:

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.core.objective import evaluate_schedule
 from repro.solvers import (
     BranchBoundIP,
     BruteForce,
@@ -139,14 +140,28 @@ class TestEverySolverDegradesGracefully:
 
     def test_weight_eval_budget_stops_oastar(self):
         # The SDC catalog model evaluates through problem.node_weight (the
-        # counted path); synthetic monotone models stream via
-        # node_weight_fast, which this currency deliberately ignores.
+        # counted path); synthetic monotone models also score single nodes
+        # via node_weight_fast, which this currency deliberately ignores.
         problem = serial_mix(["BT", "CG", "EP", "FT", "IS", "LU", "MG", "SP"],
                              "quad")
         result = OAStar().solve(problem, budget=Budget(max_weight_evals=5))
         assert result.budget_stopped == "weight_evals"
         assert result.schedule is not None
         assert not result.optimal
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_weight_eval_budget_stops_hastar_on_mer_windows(self, n):
+        # HA*'s trim scores MER windows and lazy frontiers straight through
+        # the model's kernel, bypassing the memo; the budget charges those
+        # rows from their own counter.
+        problem = random_serial_instance(n, "quad", seed=1, saturation=4.0)
+        result = HAStar().solve(problem, budget=Budget(max_weight_evals=5))
+        assert result.budget_stopped == "weight_evals"
+        assert problem.counters.count("node_weight_direct") > 0
+        assert result.stats["expanded"] <= 2
+        assert result.schedule is not None
+        assert result.objective == evaluate_schedule(
+            problem, result.schedule).objective
 
     def test_unbudgeted_solve_has_no_budget_stats(self):
         problem = small_problem()

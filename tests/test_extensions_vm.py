@@ -14,7 +14,9 @@ from repro.extensions.vm import (
     migration_count,
     replan,
 )
-from repro.solvers import BruteForce, OAStar
+from repro.core.objective import evaluate_schedule
+from repro.solvers import BruteForce, HAStar, OAStar
+from repro.workloads import random_serial_instance
 
 
 def make_problem(n=8, seed=0, cluster=QUAD_CORE_CLUSTER):
@@ -144,3 +146,54 @@ class TestReplan:
         assert out["objective_with_penalty"] == pytest.approx(
             out["degradation"] + 0.1 * out["migrations"], abs=1e-6
         )
+
+
+def pressure_vm(n, saturation, cost_per_move=0.05):
+    """A miss-rate pressure problem charged for moving off an HA* plan of
+    another instance of the same size."""
+    problem = random_serial_instance(n, "quad", seed=3, saturation=saturation)
+    previous = HAStar().solve(
+        random_serial_instance(n, "quad", seed=4, saturation=saturation)
+    ).schedule
+    return problem, previous, VMPlacementProblem(
+        problem.workload, problem.cluster, problem.model, previous,
+        cost_per_move,
+    )
+
+
+class TestPressureModelPenalty:
+    """The pressure model's lazy streams and MER windows score the bare
+    model, so HA* must keep a migration penalty off them at every size."""
+
+    # HA*'s objectives with the penalty, from whole scored levels.
+    EXPECTED = {
+        (8, None): 1.2179332419376587,
+        (8, 4.0): 1.0633047618495524,
+        (16, None): 3.4289919639525035,
+        (16, 4.0): 2.9101809592535317,
+    }
+
+    @pytest.mark.parametrize("n,saturation", list(EXPECTED) + [(32, 4.0)])
+    def test_hastar_charges_the_penalty(self, n, saturation):
+        _, _, vm = pressure_vm(n, saturation)
+        result = HAStar().solve(vm)
+        assert result.objective == pytest.approx(
+            evaluate_schedule(vm, result.schedule).objective, abs=1e-9)
+        if (n, saturation) in self.EXPECTED:
+            assert result.objective == pytest.approx(
+                self.EXPECTED[n, saturation], abs=1e-12)
+
+    def test_oastar_stays_exact(self):
+        # OA*'s partial expansion streams levels; with a penalty it must
+        # not stream the bare model.
+        _, _, vm = pressure_vm(12, 4.0)
+        assert OAStar().solve(vm).objective == pytest.approx(
+            BruteForce().solve(vm).objective, abs=1e-12)
+
+    def test_replan_with_hastar(self):
+        problem, previous, _ = pressure_vm(16, 4.0)
+        out = replan(problem, previous, HAStar(), cost_per_move=0.05)
+        assert out["objective_with_penalty"] == pytest.approx(
+            self.EXPECTED[16, 4.0], abs=1e-12)
+        assert out["objective_with_penalty"] == pytest.approx(
+            out["degradation"] + 0.05 * out["migrations"], abs=1e-9)
