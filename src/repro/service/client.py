@@ -88,17 +88,8 @@ class ServiceClient:
         wait: float = 0.0,
     ) -> dict:
         """``POST /solve``; returns the ticket status document."""
-        payload: dict = {
-            "problem": problem_to_dict(problem),
-            "priority": priority,
-            "refine": refine,
-            "wait": wait,
-        }
-        if solver is not None:
-            payload["solver"] = solver
-        if budget is not None:
-            payload["budget"] = budget
-        return self._request("POST", "/solve", payload)
+        return self._post("/solve", {"problem": problem}, solver, budget,
+                          priority, refine, wait)
 
     def delta(
         self,
@@ -113,18 +104,22 @@ class ServiceClient:
         """``POST /delta`` — incremental re-solve of ``problem`` against
         the stored schedule of ``base_problem``; returns the ticket
         status document (with ``base_fingerprint`` / ``base_hit``)."""
-        payload: dict = {
-            "base_problem": problem_to_dict(base_problem),
-            "problem": problem_to_dict(problem),
-            "priority": priority,
-            "refine": refine,
-            "wait": wait,
-        }
+        return self._post(
+            "/delta", {"base_problem": base_problem, "problem": problem},
+            solver, budget, priority, refine, wait)
+
+    def _post(self, path: str, problems: dict, solver: Optional[str],
+              budget: Optional[dict], priority: int, refine: bool,
+              wait: float) -> dict:
+        """POST the request document: each of ``problems`` (wire key →
+        problem) encoded, plus the request fields."""
+        payload = {key: problem_to_dict(p) for key, p in problems.items()}
+        payload.update(priority=priority, refine=refine, wait=wait)
         if solver is not None:
             payload["solver"] = solver
         if budget is not None:
             payload["budget"] = budget
-        return self._request("POST", "/delta", payload)
+        return self._request("POST", path, payload)
 
     def status(self, ticket_id: str) -> dict:
         """``GET /status/<id>``."""

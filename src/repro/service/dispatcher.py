@@ -14,12 +14,14 @@ lifecycle:
    forward over the shard's HTTP endpoint.  All caching/coalescing for a
    fingerprint therefore happens inside exactly one shard;
 3. **degrade instead of failing**: a shard that answers ``queue_full``
-   (with in-shard shedding disabled) or is unreachable (crashed) gets its
-   request **shed** — solved inline by the dispatcher's cheap
-   :class:`~repro.runtime.ShedPolicy` chain, marked ``shed: true`` with
-   ``shed_reason`` (``svc_shed``).  Unreachable shards are respawned in
-   the background when ``respawn`` is enabled (``svc_shard_spawn``); the
-   replacement replays the shared append log, so it comes back warm;
+   or is unreachable (crashed) gets its request **shed** — solved inline
+   by the dispatcher's cheap :class:`~repro.runtime.ShedPolicy` chain,
+   marked ``shed: true`` with ``shed_reason`` (``svc_shed``).  When
+   ``respawn`` is enabled, the first request to find a shard dead
+   respawns it (``svc_shard_spawn``) and waits for the replacement to
+   report its port before it sheds; concurrent requests shed without
+   spawning.  The replacement replays the shared append log, so it comes
+   back warm;
 4. **drain** (``svc_drain``): the dispatcher stops admitting
    (``RequestRejected("draining")`` → HTTP 503 + ``Retry-After``),
    SIGTERMs every shard, and waits for each to finish its admitted work —
@@ -31,31 +33,26 @@ bounded local table.
 
 :func:`start_dispatcher_server` serves the same JSON endpoints as the
 single-process server (``/solve``, ``/delta``, ``/status``, ``/metrics``)
-plus ``GET /health`` (shard liveness), so
-``cosched submit`` and :class:`~repro.service.client.ServiceClient` work
-unchanged against a sharded tier.
+plus ``GET /health`` (shard liveness) through the same request handler
+(:mod:`repro.service.server`), so ``cosched submit`` and
+:class:`~repro.service.client.ServiceClient` work unchanged against a
+sharded tier.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import threading
 from collections import OrderedDict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
 from ..core.problem import CoSchedulingProblem
 from ..runtime import SpecError, parse_spec, resolve_shed_policy
 from ..solvers import Budget
 from .client import ServiceClient, ServiceError
-from .codec import (
-    CodecError,
-    problem_fingerprint,
-    problem_from_dict,
-    schedule_to_dict,
-)
+from .codec import problem_fingerprint, schedule_to_dict
 from .queue import RequestRejected
+from .server import CoschedHTTPServer
 from .shard import ShardConfig, ShardHandle, shard_for
 
 __all__ = ["ShardedService", "DispatcherHTTPServer",
@@ -82,9 +79,6 @@ class ShardedService:
         errors).  The same policy string is armed *inside* each shard
         (queue_full shedding close to the queue) and at the dispatcher
         (unreachable-shard shedding).
-    shed_in_shards:
-        Arm the policy inside shards too (default True).  Disable to
-        observe raw 429s at the dispatcher (tests do).
     respawn:
         Restart a crashed shard on first contact failure (default True).
     drain_timeout:
@@ -109,7 +103,6 @@ class ShardedService:
         store_path: Optional[str] = None,
         store_capacity: int = 1024,
         shed_policy: Optional[str] = "pg",
-        shed_in_shards: bool = True,
         respawn: bool = True,
         drain_timeout: float = 30.0,
         request_timeout: float = 120.0,
@@ -140,12 +133,12 @@ class ShardedService:
             default_solver=default_solver,
             store_path=store_path,
             store_capacity=store_capacity,
-            shed_policy=(shed_policy if (shed_policy and shed_in_shards)
-                         else None),
+            shed_policy=shed_policy or None,
             drain_timeout=drain_timeout,
         )
         self._lock = threading.Lock()
         self._draining = False
+        self._respawning: set = set()  # shard indices being replaced
         self._ids = itertools.count(1)
         self._shed_tickets: "OrderedDict[str, dict]" = OrderedDict()
         self._stats = {
@@ -244,54 +237,8 @@ class ShardedService:
         shard-side rejections as :class:`ServiceError` (except
         ``queue_full``/unreachable, which shed when a policy is armed).
         """
-        if solver is not None:
-            try:
-                parse_spec(solver)
-            except SpecError as exc:
-                raise RequestRejected(exc.reason, exc.detail) from exc
-        fp = problem_fingerprint(problem)
-        with self._lock:
-            if self._draining:
-                self._stats["rejected"] += 1
-                raise RequestRejected(
-                    "draining",
-                    "sharded tier is draining; retry after restart",
-                )
-        index = shard_for(fp, self.num_shards)
-        self._emit("svc_shard_route", shard=index, fingerprint=fp)
-        handle = self._handles[index]
-        try:
-            doc = handle.client.submit(
-                problem, solver=solver, budget=budget, priority=priority,
-                refine=refine, wait=min(wait, self.request_timeout - 1.0),
-            )
-        except ServiceError as exc:
-            reason = exc.payload.get("reason")
-            if reason == "queue_full" and self._shed_policy is not None:
-                return self._shed(problem, fp, index, priority,
-                                  reason="queue_full")
-            with self._lock:
-                self._stats["rejected"] += 1
-            raise
-        except OSError as exc:
-            # Connection refused / reset: the shard is gone.  Respawn it
-            # (warm, from the shared log) and shed this request.
-            with self._lock:
-                self._stats["forward_errors"] += 1
-            self._handle_dead_shard(index)
-            if self._shed_policy is not None:
-                return self._shed(problem, fp, index, priority,
-                                  reason="shard_down")
-            raise ServiceError(
-                503, {"error": "shard_down", "shard": index,
-                      "detail": str(exc)},
-            ) from exc
-        with self._lock:
-            self._stats["routed"] += 1
-            self._per_shard_routed[index] += 1
-        doc["id"] = f"s{index}-{doc['id']}"
-        doc["shard"] = index
-        return doc
+        return self._forward("/solve", {"problem": problem}, solver,
+                             budget, priority, refine, wait)
 
     def submit_delta(
         self,
@@ -312,17 +259,28 @@ class ShardedService:
         that is safe (stores merge monotonically, and a later ``/solve``
         for the new fingerprint simply re-solves on its owner shard) but
         means delta results are cached for the base owner's locality, not
-        globally.  Shedding and dead-shard handling mirror
-        :meth:`submit` — a shed delta degrades to a from-scratch greedy
-        solve of the new problem.
+        globally.  Shedding and dead-shard handling are :meth:`submit`'s
+        — a shed delta degrades to a from-scratch greedy solve of the new
+        problem.
         """
+        return self._forward(
+            "/delta", {"base_problem": base_problem, "problem": problem},
+            solver, budget, priority, refine, wait)
+
+    def _forward(self, path: str, problems: dict, solver: Optional[str],
+                 budget: Optional[dict], priority: int, refine: bool,
+                 wait: float) -> dict:
+        """POST ``problems`` to ``path`` on the shard that owns the routing
+        problem (``base_problem`` if present, else ``problem``); shed the
+        new ``problem`` when that shard is saturated or unreachable."""
         if solver is not None:
             try:
                 parse_spec(solver)
             except SpecError as exc:
                 raise RequestRejected(exc.reason, exc.detail) from exc
-        base_fp = problem_fingerprint(base_problem)
-        fp = problem_fingerprint(problem)
+        delta = "base_problem" in problems
+        fp = problem_fingerprint(
+            problems["base_problem" if delta else "problem"])
         with self._lock:
             if self._draining:
                 self._stats["rejected"] += 1
@@ -330,30 +288,30 @@ class ShardedService:
                     "draining",
                     "sharded tier is draining; retry after restart",
                 )
-        index = shard_for(base_fp, self.num_shards)
-        self._emit("svc_shard_route", shard=index, fingerprint=base_fp,
-                   delta=True)
-        handle = self._handles[index]
+        index = shard_for(fp, self.num_shards)
+        self._emit("svc_shard_route", shard=index, fingerprint=fp,
+                   **({"delta": True} if delta else {}))
         try:
-            doc = handle.client.delta(
-                base_problem, problem, solver=solver, budget=budget,
-                priority=priority, refine=refine,
-                wait=min(wait, self.request_timeout - 1.0),
+            doc = self._handles[index].client._post(
+                path, problems, solver, budget, priority, refine,
+                min(wait, self.request_timeout - 1.0),
             )
         except ServiceError as exc:
             reason = exc.payload.get("reason")
             if reason == "queue_full" and self._shed_policy is not None:
-                return self._shed(problem, fp, index, priority,
+                return self._shed(problems["problem"], index, priority,
                                   reason="queue_full")
             with self._lock:
                 self._stats["rejected"] += 1
             raise
         except OSError as exc:
+            # Connection refused / reset: the shard is gone.  Respawn it
+            # (warm, from the shared log) and shed this request.
             with self._lock:
                 self._stats["forward_errors"] += 1
             self._handle_dead_shard(index)
             if self._shed_policy is not None:
-                return self._shed(problem, fp, index, priority,
+                return self._shed(problems["problem"], index, priority,
                                   reason="shard_down")
             raise ServiceError(
                 503, {"error": "shard_down", "shard": index,
@@ -367,17 +325,25 @@ class ShardedService:
         return doc
 
     def _handle_dead_shard(self, index: int) -> None:
+        """Replace a dead shard, once: the first caller claims the respawn
+        under the lock and spawns; concurrent callers return at once."""
         with self._lock:
-            if self._draining or not self.respawn:
-                return
-            if self._handles[index].alive:
-                return  # another thread already respawned it
+            if (self._draining or not self.respawn
+                    or index in self._respawning
+                    or self._handles[index].alive):
+                return  # replaced, or being replaced by another thread
+            self._respawning.add(index)
             self._stats["respawns"] += 1
-        self._handles[index].kill()  # reap the zombie if any
-        self._handles[index] = self._spawn(index)
+        try:
+            self._handles[index].kill()  # reap the zombie if any
+            self._handles[index] = self._spawn(index)
+        finally:
+            with self._lock:
+                self._respawning.discard(index)
 
-    def _shed(self, problem: CoSchedulingProblem, fp: str, index: int,
+    def _shed(self, problem: CoSchedulingProblem, index: int,
               priority: int, reason: str) -> dict:
+        fp = problem_fingerprint(problem)
         report, spec_used = self._shed_policy.solve(
             problem, budget=Budget(wall_time=1.0))
         ticket_id = f"shed-{next(self._ids)}"
@@ -491,133 +457,27 @@ class ShardedService:
 # ---------------------------------------------------------------------- #
 
 
-def _budget_doc(d: Optional[dict]) -> Optional[dict]:
-    """Validate the wire budget shape (the shard re-validates anyway)."""
-    if not d:
-        return None
-    unknown = set(d) - {"wall_time", "max_expanded", "max_weight_evals"}
-    if unknown:
-        raise ValueError(f"unknown budget field(s): {sorted(unknown)}")
-    return d
-
-
-class _DispatcherHandler(BaseHTTPRequestHandler):
-    """Same wire surface as the single-process server, plus /health."""
-
-    server: "DispatcherHTTPServer"
-    protocol_version = "HTTP/1.1"
-    # Headers and body go out in separate writes; with Nagle on, a
-    # kept-alive connection waits out the peer's delayed ACK on each reply.
-    disable_nagle_algorithm = True
-
-    def _drain_body(self) -> None:
-        remaining = int(self.headers.get("Content-Length") or 0)
-        while remaining > 0:
-            chunk = self.rfile.read(min(remaining, 65536))
-            if not chunk:
-                break
-            remaining -= len(chunk)
-
-    def _reply(self, status: int, payload: dict,
-               retry_after: Optional[int] = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after is not None:
-            self.send_header("Retry-After", str(retry_after))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, fmt, *args) -> None:  # pragma: no cover
-        if self.server.verbose:
-            super().log_message(fmt, *args)
-
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
-        sharded = self.server.sharded
-        if self.path == "/metrics":
-            self._reply(200, sharded.metrics())
-            return
-        if self.path == "/health":
-            self._reply(200, sharded.health())
-            return
-        if self.path.startswith("/status/"):
-            doc = sharded.status(self.path[len("/status/"):])
-            if doc.get("error") == "not_found":
-                self._reply(404, doc)
-            elif doc.get("error") == "shard_down":
-                self._reply(503, doc)
-            else:
-                self._reply(200, doc)
-            return
-        self._reply(404, {"error": "not_found",
-                          "detail": f"no route {self.path!r}"})
-
-    def do_POST(self) -> None:  # noqa: N802 — http.server API
-        if self.path not in ("/solve", "/delta"):
-            self._drain_body()
-            self._reply(404, {"error": "not_found",
-                              "detail": f"no route {self.path!r}"})
-            return
-        sharded = self.server.sharded
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-            doc = json.loads(self.rfile.read(length) or b"{}")
-            problem = problem_from_dict(doc["problem"])
-            base_problem = None
-            if self.path == "/delta":
-                base_problem = problem_from_dict(doc["base_problem"])
-            budget = _budget_doc(doc.get("budget"))
-            wait = float(doc.get("wait", 0.0))
-            priority = int(doc.get("priority", 1))
-            refine = bool(doc.get("refine", False))
-            solver = doc.get("solver")
-        except (KeyError, TypeError, ValueError, CodecError) as exc:
-            self._reply(400, {"error": "bad_request", "detail": str(exc)})
-            return
-        try:
-            if base_problem is not None:
-                ticket = sharded.submit_delta(
-                    base_problem, problem, solver=solver, budget=budget,
-                    priority=priority, refine=refine, wait=wait)
-            else:
-                ticket = sharded.submit(problem, solver=solver,
-                                        budget=budget, priority=priority,
-                                        refine=refine, wait=wait)
-        except RequestRejected as exc:
-            if exc.reason == "draining":
-                self._reply(503, exc.to_dict(),
-                            retry_after=self.server.retry_after)
-                return
-            bad_spec = ("unknown_solver", "bad_spec", "bad_param",
-                        "unsupported_scenario")
-            status = 400 if exc.reason in bad_spec else 429
-            self._reply(status, exc.to_dict())
-            return
-        except ServiceError as exc:
-            self._reply(exc.status, exc.payload)
-            return
-        self._reply(200 if ticket.get("state") in ("done", "failed")
-                    else 202, ticket)
-
-
-class DispatcherHTTPServer(ThreadingHTTPServer):
-    """A :class:`ThreadingHTTPServer` in front of one
-    :class:`ShardedService`."""
-
-    daemon_threads = True
+class DispatcherHTTPServer(CoschedHTTPServer):
+    """The single-process server's edge in front of one
+    :class:`ShardedService`, plus ``GET /health``."""
 
     def __init__(self, address: Tuple[str, int], sharded: ShardedService,
                  verbose: bool = False, retry_after: int = 2):
-        super().__init__(address, _DispatcherHandler)
-        self.sharded = sharded
-        self.verbose = verbose
-        self.retry_after = retry_after
+        super().__init__(address, sharded, verbose=verbose,
+                         retry_after=retry_after)
+        self.routes["/health"] = sharded.health
 
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
+    def submit(self, base_problem: Optional[CoSchedulingProblem],
+               problem: CoSchedulingProblem, wait: float,
+               budget: Optional[Budget] = None, **request) -> dict:
+        request.update(wait=wait,
+                       budget=None if budget is None else budget.to_dict())
+        if base_problem is None:
+            return self.service.submit(problem, **request)
+        return self.service.submit_delta(base_problem, problem, **request)
+
+    def status(self, ticket_id: str) -> dict:
+        return self.service.status(ticket_id)
 
 
 def start_dispatcher_server(
@@ -633,7 +493,4 @@ def start_dispatcher_server(
     ``sharded.drain()``.
     """
     server = DispatcherHTTPServer((host, port), sharded, verbose=verbose)
-    thread = threading.Thread(target=server.serve_forever,
-                              name="cosched-dispatcher", daemon=True)
-    thread.start()
-    return server
+    return server.serve_in_background("cosched-dispatcher")

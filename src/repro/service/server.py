@@ -40,6 +40,11 @@ Built on :class:`http.server.ThreadingHTTPServer` — no dependencies
 beyond the standard library.  :func:`start_http_server` binds (port 0
 picks an ephemeral port), serves on a daemon thread, and returns the
 server; call ``shutdown()`` when done.
+
+The sharded tier's :class:`~repro.service.dispatcher.DispatcherHTTPServer`
+subclasses :class:`CoschedHTTPServer`, so both tiers share this module's
+one request handler: body reading, document validation, the error →
+status map and the 200/202 rule live here once.
 """
 
 from __future__ import annotations
@@ -49,14 +54,29 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 
+from ..core.problem import CoSchedulingProblem
 from ..solvers import Budget
+from .client import ServiceError
 from .codec import CodecError, problem_from_dict
 from .queue import RequestRejected, SolveService
 
 __all__ = ["CoschedHTTPServer", "start_http_server"]
 
+#: Rejections that blame the request's solver spec (400); every other
+#: admission refusal but ``draining`` is load (429).
+_SPEC_REASONS = ("unknown_solver", "bad_spec", "bad_param",
+                 "unsupported_scenario")
+#: ``/status/<id>`` documents that carry these errors are not tickets.
+_STATUS_ERRORS = {"not_found": 404, "shard_down": 503}
 
-def _budget_from_dict(d: Optional[dict]) -> Optional[Budget]:
+
+def _budget_from_dict(d) -> Optional[Budget]:
+    """The wire budget: ``null``, or an object of known limit fields."""
+    if d is None:
+        return None
+    if not isinstance(d, dict):
+        raise ValueError(
+            f"budget must be an object or null, not {type(d).__name__}")
     if not d:
         return None
     unknown = set(d) - {"wall_time", "max_expanded", "max_weight_evals"}
@@ -72,7 +92,10 @@ def _budget_from_dict(d: Optional[dict]) -> Optional[Budget]:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Routes requests to the server's :class:`SolveService`."""
+    """The HTTP edge of both tiers: parses and validates every request,
+    maps errors to statuses, and leaves to its server how a request
+    becomes a ticket document (:meth:`CoschedHTTPServer.submit`) and how
+    ``/status/<id>`` resolves."""
 
     server: "CoschedHTTPServer"
     protocol_version = "HTTP/1.1"
@@ -106,6 +129,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
+    def _no_route(self) -> None:
+        self._reply(404, {"error": "not_found",
+                          "detail": f"no route {self.path!r}"})
+
     def log_message(self, fmt, *args) -> None:  # pragma: no cover
         if self.server.verbose:
             super().log_message(fmt, *args)
@@ -113,29 +140,21 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------ #
 
     def do_GET(self) -> None:  # noqa: N802 — http.server API
-        service = self.server.service
-        if self.path == "/metrics":
-            self._reply(200, service.metrics())
-            return
         if self.path.startswith("/status/"):
-            ticket_id = self.path[len("/status/"):]
-            ticket = service.ticket(ticket_id)
-            if ticket is None:
-                self._reply(404, {"error": "not_found",
-                                  "detail": f"no ticket {ticket_id!r}"})
-                return
-            self._reply(200, ticket.to_dict())
+            doc = self.server.status(self.path[len("/status/"):])
+            self._reply(_STATUS_ERRORS.get(doc.get("error"), 200), doc)
             return
-        self._reply(404, {"error": "not_found",
-                          "detail": f"no route {self.path!r}"})
+        route = self.server.routes.get(self.path)
+        if route is None:
+            self._no_route()
+            return
+        self._reply(200, route())
 
     def do_POST(self) -> None:  # noqa: N802 — http.server API
         if self.path not in ("/solve", "/delta"):
             self._drain_body()
-            self._reply(404, {"error": "not_found",
-                              "detail": f"no route {self.path!r}"})
+            self._no_route()
             return
-        service = self.server.service
         try:
             length = int(self.headers.get("Content-Length", 0))
             doc = json.loads(self.rfile.read(length) or b"{}")
@@ -145,20 +164,17 @@ class _Handler(BaseHTTPRequestHandler):
                 base_problem = problem_from_dict(doc["base_problem"])
             budget = _budget_from_dict(doc.get("budget"))
             wait = float(doc.get("wait", 0.0))
-            priority = int(doc.get("priority", 1))
-            refine = bool(doc.get("refine", False))
-            solver = doc.get("solver")
+            request = dict(
+                solver=doc.get("solver"), budget=budget,
+                priority=int(doc.get("priority", 1)),
+                refine=bool(doc.get("refine", False)),
+            )
         except (KeyError, TypeError, ValueError, CodecError) as exc:
             self._reply(400, {"error": "bad_request", "detail": str(exc)})
             return
         try:
-            if base_problem is not None:
-                ticket = service.submit_delta(
-                    base_problem, problem, solver=solver, budget=budget,
-                    priority=priority, refine=refine)
-            else:
-                ticket = service.submit(problem, solver=solver, budget=budget,
-                                        priority=priority, refine=refine)
+            ticket = self.server.submit(base_problem, problem, wait,
+                                        **request)
         except RequestRejected as exc:
             if exc.reason == "draining":
                 # Graceful drain: tell clients when to come back rather
@@ -166,14 +182,14 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(503, exc.to_dict(),
                             retry_after=self.server.retry_after)
                 return
-            bad_spec = ("unknown_solver", "bad_spec", "bad_param",
-                        "unsupported_scenario")
-            status = 400 if exc.reason in bad_spec else 429
-            self._reply(status, exc.to_dict())
+            self._reply(400 if exc.reason in _SPEC_REASONS else 429,
+                        exc.to_dict())
             return
-        if wait > 0:
-            ticket.wait(wait)
-        self._reply(200 if ticket.done else 202, ticket.to_dict())
+        except ServiceError as exc:  # a shard's own answer, relayed
+            self._reply(exc.status, exc.payload)
+            return
+        self._reply(200 if ticket["state"] in ("done", "failed") else 202,
+                    ticket)
 
 
 class CoschedHTTPServer(ThreadingHTTPServer):
@@ -182,21 +198,52 @@ class CoschedHTTPServer(ThreadingHTTPServer):
     ``retry_after`` is the ``Retry-After`` value (seconds) sent with 503
     responses while the service drains — how long a well-behaved client
     should wait before retrying against the restarted instance.
+    ``routes`` maps the GET paths besides ``/status/<id>`` to the
+    callables that answer them.
     """
 
     daemon_threads = True
 
-    def __init__(self, address: Tuple[str, int], service: SolveService,
+    def __init__(self, address: Tuple[str, int], service,
                  verbose: bool = False, retry_after: int = 2):
         super().__init__(address, _Handler)
         self.service = service
         self.verbose = verbose
         self.retry_after = retry_after
+        self.routes = {"/metrics": service.metrics}
 
     @property
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
+
+    def submit(self, base_problem: Optional[CoSchedulingProblem],
+               problem: CoSchedulingProblem, wait: float,
+               **request) -> dict:
+        """One validated ``/solve`` (``base_problem`` is ``None``) or
+        ``/delta`` request → the ticket document, after up to ``wait``
+        seconds for it to resolve."""
+        if base_problem is None:
+            ticket = self.service.submit(problem, **request)
+        else:
+            ticket = self.service.submit_delta(base_problem, problem,
+                                               **request)
+        if wait > 0:
+            ticket.wait(wait)
+        return ticket.to_dict()
+
+    def status(self, ticket_id: str) -> dict:
+        ticket = self.service.ticket(ticket_id)
+        if ticket is None:
+            return {"error": "not_found",
+                    "detail": f"no ticket {ticket_id!r}"}
+        return ticket.to_dict()
+
+    def serve_in_background(self, name: str) -> "CoschedHTTPServer":
+        """Serve on a daemon thread named ``name``; returns ``self``."""
+        threading.Thread(target=self.serve_forever, name=name,
+                         daemon=True).start()
+        return self
 
 
 def start_http_server(
@@ -214,7 +261,4 @@ def start_http_server(
     """
     service.start()
     server = CoschedHTTPServer((host, port), service, verbose=verbose)
-    thread = threading.Thread(target=server.serve_forever,
-                              name="cosched-http", daemon=True)
-    thread.start()
-    return server
+    return server.serve_in_background("cosched-http")
