@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import abc
 import copy
+import math
 from typing import AbstractSet, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -126,6 +127,13 @@ class CacheDegradationModel(abc.ABC):
         ``i`` (0 where ``real`` is False), or ``None`` when the model has
         none and callers must loop over :meth:`cache_degradation`.
         ``real`` is a boolean mask over pids."""
+        return None
+
+    def separable_terms(self):
+        """``(s, a, κ, φ)`` when ``d_{i,S} = s_i · κ · φ(Σ_{j∈S} a_j)``
+        with a non-decreasing φ — per-pid sensitivity and aggressiveness
+        arrays, the scale and the pressure response — else ``None``.  The
+        scenario search's capacity-aware bound reads it."""
         return None
 
 
@@ -557,9 +565,7 @@ class MissRatePressureModel(CacheDegradationModel):
         """The (possibly saturating) pressure response."""
         if self.saturation is None:
             return x
-        import math as _math
-
-        return self.saturation * (1.0 - _math.exp(-x / self.saturation))
+        return self.saturation * (1.0 - math.exp(-x / self.saturation))
 
     def phi_min_slope(self, x_max: float) -> float:
         """Least slope of φ on [0, x_max] — the chord slope for concave φ.
@@ -577,6 +583,10 @@ class MissRatePressureModel(CacheDegradationModel):
         m = self.miss_rates
         total = sum(m[j] for j in coset if j != pid)
         return float(m[pid] * self.kappa * self.phi(total))
+
+    def separable_terms(self):
+        """A process suffers and inflicts by its miss rate: ``s = a = m``."""
+        return self.miss_rates, self.miss_rates, self.kappa, self.phi
 
     def min_degradation(self, pid: int, universe: Sequence[int], k: int) -> float:
         """Exact: co-run with the k lowest-pressure processes available."""
@@ -732,13 +742,14 @@ class AsymmetricContentionModel(CacheDegradationModel):
         :class:`MissRatePressureModel`."""
         if self.saturation is None:
             return x
-        import math as _math
-
-        return self.saturation * (1.0 - _math.exp(-x / self.saturation))
+        return self.saturation * (1.0 - math.exp(-x / self.saturation))
 
     def cache_degradation(self, pid: int, coset: FrozenSet[int]) -> float:
         total = sum(self.a[j] for j in coset if j != pid)
         return float(self.s[pid] * self.kappa * self.phi(total))
+
+    def separable_terms(self):
+        return self.s, self.a, self.kappa, self.phi
 
     def single_time(self, pid: int) -> float:
         if self._single is None:

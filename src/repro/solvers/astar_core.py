@@ -77,10 +77,11 @@ class _Record:
     bal_a2: float = 0.0  # Σ pressure² over unscheduled
     alive: bool = True
     # Partial-expansion bookkeeping: the ascending-weight successor stream,
-    # the peeked-but-unprocessed head, and the admissible tail heuristic.
+    # the peeked-but-unprocessed head, and the admissible tail heuristic
+    # (computed on the first resume).
     stream: object = None
     pending: object = None
-    h_tail: float = 0.0
+    h_tail: Optional[float] = None
 
 
 @dataclass
@@ -101,8 +102,9 @@ class SuccessorSource:
     Optional parts: ``keys_leader(rec)`` — ``rec``'s children are told
     apart by their node's leader as well as their pid set;
     ``pressures`` — the per-process pressures the balance bound tracks;
-    ``stream(rec)`` — an ascending-weight successor iterator and the
-    admissible tail h, which enables partial expansion.
+    ``stream(rec)`` — an ascending-weight successor iterator, which
+    enables partial expansion, with ``h_tail(rec)`` — an admissible h
+    for every child of ``rec``, read when the stream is resumed.
     """
 
     successors: Callable
@@ -115,6 +117,7 @@ class SuccessorSource:
     keys_leader: Optional[Callable] = None
     pressures: Optional[List[float]] = None
     stream: Optional[Callable] = None
+    h_tail: Optional[Callable] = None
 
 
 def process_floors(problem: CoSchedulingProblem, on: bool) -> List[float]:
@@ -280,7 +283,7 @@ def graph_source(search: "AStarSearch",
     # monotone models), and re-insert the state priced at its next
     # un-generated successor.  Exact, and the only way to search levels
     # whose node counts are astronomically large.
-    stream = None
+    stream = h_tail = None
     if (
         search.partial_expansion
         and search.node_limit_fraction is None
@@ -289,8 +292,10 @@ def graph_source(search: "AStarSearch",
         and search.h_strategy == 2
     ):
         def stream(rec: _Record):
-            return (gen.successors_stream(rec.unscheduled),
-                    estimator.h_tail(rec.unscheduled))
+            return gen.successors_stream(rec.unscheduled)
+
+        def h_tail(rec: _Record) -> float:
+            return estimator.h_tail(rec.unscheduled)
 
     return SuccessorSource(
         successors=lambda rec, limit: gen.successors(rec.unscheduled,
@@ -303,6 +308,7 @@ def graph_source(search: "AStarSearch",
         stats=gen.stats,
         pressures=pressures,
         stream=stream,
+        h_tail=h_tail,
     )
 
 
@@ -671,7 +677,7 @@ class AStarSearch(Solver):
 
                     if source.stream is not None:
                         if rec.stream is None:
-                            rec.stream, rec.h_tail = source.stream(rec)
+                            rec.stream = source.stream(rec)
                             rec.pending = next(rec.stream, None)
                         batch_nodes = []
                         while (
@@ -682,6 +688,8 @@ class AStarSearch(Solver):
                             rec.pending = next(rec.stream, None)
                         if rec.pending is not None:
                             resumes += 1
+                            if rec.h_tail is None:
+                                rec.h_tail = source.h_tail(rec)
                             f_resume = rec.g + rec.pending[1] + rec.h_tail
                             heapq.heappush(
                                 heap, (f_resume, next(counter), rec)

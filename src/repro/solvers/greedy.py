@@ -37,38 +37,42 @@ class PolitenessGreedy(Solver):
     scenario_capabilities = frozenset({"heterogeneous", "constraints"})
 
     def _solve(self, problem: CoSchedulingProblem) -> SolveResult:
-        n, u = problem.n, problem.u
-        # Politeness is the negative of the average degradation a process
-        # inflicts on every other process in a pairwise co-run; its positive
-        # counterpart, impoliteness, orders the processes.
-        inflicted = problem.impoliteness()
-        unassigned = sorted(range(n), key=lambda p: (-inflicted[p], p))
-        if problem.is_scenario:
-            by_machine: List[List[int]] = [[] for _ in range(problem.n_machines)]
-            for k, cap, _ in problem.slot_plan():
-                machine = [unassigned.pop(0)]
-                for _ in range(cap - 1):
-                    machine.append(unassigned.pop())
-                by_machine[k] = machine
-            schedule = problem.make_schedule(by_machine)
-        else:
-            groups: List[List[int]] = []
-            while unassigned:
-                machine = [unassigned.pop(0)]  # most impolite remaining
-                for _ in range(u - 1):
-                    machine.append(unassigned.pop())  # most polite remaining
-                groups.append(machine)
-            schedule = CoSchedule.from_groups(groups, u=u, n=n)
         from ..core.objective import evaluate_schedule
 
+        schedule = politeness_schedule(problem)
         ev = evaluate_schedule(problem, schedule)
         return SolveResult(
             solver=self.name,
             schedule=schedule,
             objective=ev.objective,
             time_seconds=0.0,
-            stats={"pairwise_evals": n * (n - 1)},
+            stats={"pairwise_evals": problem.n * (problem.n - 1)},
         )
+
+
+def politeness_schedule(problem: CoSchedulingProblem) -> CoSchedule:
+    """PG's schedule for ``problem`` (see :class:`PolitenessGreedy`)."""
+    n, u = problem.n, problem.u
+    # Politeness is the negative of the average degradation a process
+    # inflicts on every other process in a pairwise co-run; its positive
+    # counterpart, impoliteness, orders the processes.
+    inflicted = problem.impoliteness()
+    unassigned = sorted(range(n), key=lambda p: (-inflicted[p], p))
+    if problem.is_scenario:
+        by_machine: List[List[int]] = [[] for _ in range(problem.n_machines)]
+        for k, cap, _ in problem.slot_plan():
+            machine = [unassigned.pop(0)]
+            for _ in range(cap - 1):
+                machine.append(unassigned.pop())
+            by_machine[k] = machine
+        return problem.make_schedule(by_machine)
+    groups: List[List[int]] = []
+    while unassigned:
+        machine = [unassigned.pop(0)]  # most impolite remaining
+        for _ in range(u - 1):
+            machine.append(unassigned.pop())  # most polite remaining
+        groups.append(machine)
+    return CoSchedule.from_groups(groups, u=u, n=n)
 
 
 class RandomScheduler(Solver):

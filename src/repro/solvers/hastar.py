@@ -15,6 +15,11 @@ HA* therefore searches the levels most-impolite first — PG's order
 pid breaking ties) — by solving a relabelled copy of the problem and
 mapping the schedule back, so its answer does not depend on how the
 caller labelled the jobs.
+
+On scenario problems the trim keeps ``n_machines`` groups per machine
+slot, few enough to miss every group PG would form, so HA* starts from
+PG's schedule as its incumbent (the loop's warm-start bound) and never
+returns worse than PG there.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from ..core.problem import CoSchedulingProblem
 from ..core.schedule import CoSchedule
 from .astar_core import AStarSearch
 from .base import SolveResult
+from .greedy import politeness_schedule
 
 __all__ = ["HAStar"]
 
@@ -62,6 +68,15 @@ class HAStar(AStarSearch):
         )
 
     def _solve(self, problem: CoSchedulingProblem) -> SolveResult:
+        if problem.is_scenario:
+            # PG's schedule is the incumbent unless the warm start is
+            # better (see the module docstring).
+            pg = politeness_schedule(problem)
+            warm = self._warm_schedule
+            if warm is None or (evaluate_schedule(problem, pg).objective
+                                < evaluate_schedule(problem, warm).objective):
+                self._warm_schedule = pg
+            return super()._solve(problem)
         order = level_order(problem)
         if order is None:
             return super()._solve(problem)

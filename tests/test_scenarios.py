@@ -317,6 +317,18 @@ class TestBatchedScenarioSearch:
         optimum = create_solver("brute").solve(make()).objective
         assert batch.objective == pytest.approx(optimum, abs=1e-9)
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("roster, kwargs", PARITY_ROSTERS)
+    def test_hastar_never_worse_than_pg(self, roster, kwargs, seed):
+        def make():
+            return random_heterogeneous_instance(
+                roster, seed=seed, saturation=0.9, **kwargs
+            )
+
+        hastar = create_solver("hastar").solve(make())
+        pg = create_solver("pg").solve(make())
+        assert hastar.objective <= pg.objective
+
     def test_budget_stopped_completion_matches_scalar(self, monkeypatch):
         def make():
             return random_heterogeneous_instance(
