@@ -1,11 +1,11 @@
 """Micro-benchmark: compiled kernels vs the NumPy reference.
 
-The acceptance bar for the native backend is >= 2x on at least one of the
-measured hot spots (pairwise node weights, pressure node weights, the SDC
-merge walk, the MER level select) at level-scoring sizes — in practice the
-cc build lands 3-9x on the two node-weight kernels and far more on the
-select.  HA*'s fused MER window trim must beat the same provider's
-gather + score + select composition >= 2x at hastar-n64's window size.  A
+The acceptance bar for the cc build is >= 2x on at least one of the
+measured hot spots (pairwise node weights, pressure node weights, the MER
+level select) at level-scoring sizes — in practice it lands 3-9x on the
+two node-weight kernels and far more on the select.  HA*'s fused MER
+window trim must beat the cc build's own gather + score + select
+composition >= 2x at hastar-n64's window size.  A
 second guard checks the other direction: routing the NumPy fallback
 through the dispatcher must not cost more than 5% over calling the
 reference directly, so ``COSCHED_NATIVE=0`` (and compiler-less hosts)
@@ -15,8 +15,8 @@ Both sides of every comparison are timed interleaved in one loop (best
 of per side), so a slow spell of a shared host hits both alike instead
 of whichever side happened to run during it.
 
-Skips (rather than fails) when no native provider loads, so the suite is
-meaningful on machines without a C compiler.
+Skips (rather than fails) when the cc build does not load, so the suite
+is meaningful on machines without a C compiler.
 
 Run:  pytest benchmarks/test_perf_native_kernels.py -s
 """
@@ -51,19 +51,9 @@ def best_of_pair(fn_a, fn_b, repeats=REPEATS):
 
 @pytest.fixture(scope="module")
 def impl():
-    backend = native.load_numba_backend() or native.load_cc_backend()
-    if backend is None:
-        pytest.skip("no native kernel provider on this host")
-    return backend
-
-
-@pytest.fixture(scope="module")
-def cc_impl():
-    # numba's provider delegates selection to NumPy, so only the cc build
-    # has a compiled select to measure.
     backend = native.load_cc_backend()
     if backend is None:
-        pytest.skip("no cc kernel provider on this host")
+        pytest.skip("no cc kernel build on this host")
     return backend
 
 
@@ -114,46 +104,27 @@ class TestNativeSpeedup:
               f"numpy {t_numpy*1e3:.2f}ms  x{t_numpy/t_native:.2f}")
         assert t_native <= t_numpy * 1.10
 
-    def test_select_smallest_at_least_2x(self, cc_impl, inputs):
+    def test_select_smallest_at_least_2x(self, impl, inputs):
         # HA*'s MER trim: the k = n/u = 64 smallest of an 80,000-node level,
         # far inside the bounded-heap regime (6k < N).
         P, _, nodes = inputs
         weights = numpy_backend.pairwise_node_weights(P, nodes)
         k = 256 // 4
         np.testing.assert_array_equal(
-            cc_impl.select_smallest(weights, k),
+            impl.select_smallest(weights, k),
             numpy_backend.select_smallest(weights, k))
         t_native, t_numpy = best_of_pair(
-            lambda: cc_impl.select_smallest(weights, k),
+            lambda: impl.select_smallest(weights, k),
             lambda: numpy_backend.select_smallest(weights, k))
         speedup = t_numpy / t_native
         print(f"select-smallest: native {t_native*1e3:.3f}ms "
               f"numpy {t_numpy*1e3:.3f}ms  x{speedup:.2f}")
         assert speedup >= 2.0
 
-    def test_sdc_merge_not_slower_at_scale(self, impl):
-        # Above the marshalling cutoff the compiled walk should win; the
-        # bar here is conservative (>= 1.2x) because the walk is short.
-        rng = np.random.default_rng(5)
-        counters = [tuple(rng.uniform(0, 1000, size=65)) for _ in range(8)]
-        weights = [float(w) for w in rng.uniform(0.5, 2.0, size=8)]
-
-        def many(fn):
-            def run():
-                for _ in range(300):
-                    fn(counters, weights, 64)
-            return run
-
-        t_native, t_numpy = best_of_pair(
-            many(impl.sdc_merge_ways), many(numpy_backend.sdc_merge_ways))
-        print(f"sdc-merge: native {t_native*1e3:.2f}ms "
-              f"numpy {t_numpy*1e3:.2f}ms  x{t_numpy/t_native:.2f}")
-        assert t_numpy / t_native >= 1.2
-
-    def test_window_trim_at_least_2x(self, cc_impl):
+    def test_window_trim_at_least_2x(self, impl):
         # hastar-n64's MER window: limit = 64/4 = 16 over k = 3 co-runners
-        # is 174 rows, saturating phi.  One fused call against the same
-        # provider's gather + pressure kernel + select, 200 trims a sample.
+        # is 174 rows, saturating phi.  One fused call against the cc
+        # build's gather + pressure kernel + select, 200 trims a sample.
         rng = np.random.default_rng(3)
         rates = rng.uniform(0.15, 0.75, size=64)
         table = _mer_window(16, 3, 18, 10**6)
@@ -163,7 +134,7 @@ class TestNativeSpeedup:
 
         def fused():
             for _ in range(200):
-                cc_impl.pressure_window_trim(rates, rates, 1 / 3, 4.0,
+                impl.pressure_window_trim(rates, rates, 1 / 3, 4.0,
                                              level_pid, ranked, table, 16)
 
         def composed():
@@ -171,9 +142,9 @@ class TestNativeSpeedup:
                 rows = np.empty((len(table), 4), dtype=np.intp)
                 rows[:, 0] = level_pid
                 rows[:, 1:] = ranked[table]
-                w = cc_impl.pressure_node_weights(rates, rates, rows,
+                w = impl.pressure_node_weights(rates, rates, rows,
                                                   1 / 3, 4.0)
-                cc_impl.select_smallest(w, 16)
+                impl.select_smallest(w, 16)
 
         t_fused, t_composed = best_of_pair(fused, composed)
         speedup = t_composed / t_fused

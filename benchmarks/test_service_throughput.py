@@ -62,10 +62,7 @@ class TestServiceThroughput:
         # Service: same stream, same per-request budget.  Duplicates hit
         # the store (or coalesce while the primary is in flight); distinct
         # wall-budgeted solves overlap across the worker pool.
-        svc = SolveService(
-            workers=WORKERS, default_solver="osvp",
-            solver_factories={"osvp": _request_solver},
-        )
+        svc = SolveService(workers=WORKERS, default_solver="osvp")
         requests = _stream()
         t0 = time.perf_counter()
         with svc:

@@ -156,7 +156,6 @@ class CoSchedulingProblem:
         self._deg_tables: Optional[tuple] = None  # see _tables()
         self._extra_cache: Dict[Tuple[int, ...], float] = {}
         self._impoliteness: Optional[np.ndarray] = None
-        self.stats = {"degradation_evals": 0, "node_evals": 0}
         #: Performance instrumentation shared by every layer touching this
         #: problem (weight kernels, successor generation, search phases).
         self.counters = PerfCounters()
@@ -362,7 +361,7 @@ class CoSchedulingProblem:
         hit = self._deg_cache.get(key)
         if hit is not None:
             return hit
-        self.stats["degradation_evals"] += 1
+        self.counters.incr("degradation_evals")
         if self.workload.is_imaginary(pid):
             d = 0.0
         else:
@@ -384,7 +383,6 @@ class CoSchedulingProblem:
         hit = self._node_cache.get(key)
         if hit is not None:
             return hit
-        self.stats["node_evals"] += 1
         self.counters.incr("node_weight_scalar")
         w = sum(self.node_degradations(key))
         w += self.extra_cost(key)
@@ -527,7 +525,6 @@ class CoSchedulingProblem:
                 w = w + np.asarray(
                     [self.extra_cost(node) for node in miss_rows], dtype=float
                 )
-            self.stats["node_evals"] += len(miss_rows)
             self.counters.incr("node_weight_batched", len(miss_rows))
             if memo:
                 for r, node, wv in zip(miss_idx, miss_rows, w):
@@ -541,10 +538,9 @@ class CoSchedulingProblem:
 
     def count_direct_evals(self, rows: int) -> None:
         """Charge ``rows`` node weights scored by the model kernel outside
-        the memo (lazy frontiers, MER windows) to ``stats`` and to the
+        the memo (lazy frontiers, MER windows) to the
         ``node_weight_direct`` counter, which ``max_weight_evals`` reads
         beside the memo-miss counters."""
-        self.stats["node_evals"] += rows
         self.counters.incr("node_weight_direct", rows)
 
     def extra_cost(self, node: Tuple[int, ...]) -> float:
@@ -623,10 +619,9 @@ class CoSchedulingProblem:
 
         For homogeneous, serial-only problems without a communication
         model or node extra costs.  ``order`` must keep the imaginary
-        padding at the tail.  The copy shares :attr:`counters` and
-        :attr:`stats` with this problem, so profiles, tracer events and
-        weight-evaluation budgets see the work done on it; its memos are
-        its own.
+        padding at the tail.  The copy shares :attr:`counters` with this
+        problem, so profiles, tracer events and weight-evaluation budgets
+        see the work done on it; its memos are its own.
         """
         wl = self.workload
         if (
@@ -658,7 +653,6 @@ class CoSchedulingProblem:
             machine_scaling=self.machine_scale,
         )
         twin.counters = self.counters
-        twin.stats = self.stats
         return twin
 
     def min_process_degradation(self, pid: int) -> float:
@@ -731,7 +725,6 @@ class CoSchedulingProblem:
         self._machine_node_cache.clear()
         self._impoliteness = None
         self.model.clear_caches()
-        self.stats = {"degradation_evals": 0, "node_evals": 0}
         self.counters.reset()
 
 

@@ -97,6 +97,18 @@ def _iter_prefix_combinations(
 #: the smaller crossover and bounds each cached table to a few hundred KB.
 MER_WINDOW_MAX_ROWS = 6_000
 
+#: Levels with more than ``max(4 * limit, _LAZY_THRESHOLD)`` nodes take the
+#: lazy (pressure-ordered) stream when a trim limit is set.
+_LAZY_THRESHOLD = 512
+
+#: Serial levels of at most this many nodes, C(n, u), are materialized and
+#: sorted once (the paper's presorted graph) for models with no stream.
+_PRESORT_LIMIT = 300_000
+
+#: ``level_mode="auto"`` enumerates every node for the heuristic's level
+#: minima when C(n, u) is at most this.
+_EXACT_LEVEL_LIMIT = 40_000
+
 
 @functools.lru_cache(maxsize=128)
 def _mer_window(
@@ -156,14 +168,10 @@ class SuccessorGenerator:
         problem: CoSchedulingProblem,
         condense_pe: bool = True,
         condense_pc: bool = False,
-        lazy_threshold: int = 512,
-        presort_limit: int = 300_000,
     ):
         self.problem = problem
         self.condense_pe = condense_pe
         self.condense_pc = condense_pc
-        self.lazy_threshold = lazy_threshold
-        self.presort_limit = presort_limit
         wl = problem.workload
         self._kind: List[JobKind] = [wl.kind_of(pid) for pid in wl.iter_pids()]
         self._job_id: List[int] = [
@@ -203,7 +211,7 @@ class SuccessorGenerator:
             not self._has_parallel
             and not self._monotone_ok
             and not self._proxy_ok
-            and math.comb(problem.n, problem.u) <= self.presort_limit
+            and math.comb(problem.n, problem.u) <= _PRESORT_LIMIT
         )
         self._levels_sorted: Optional[List[List[Tuple[float, Tuple[int, ...]]]]] = None
         self.stats = {"generated": 0, "condensed_away": 0}
@@ -366,7 +374,7 @@ class SuccessorGenerator:
 
         if limit is not None and (self._rank_order or (
             (self._monotone_ok or self._proxy_ok)
-            and math.comb(len(rest), k) > max(4 * limit, self.lazy_threshold)
+            and math.comb(len(rest), k) > max(4 * limit, _LAZY_THRESHOLD)
         )):
             return self._successors_lazy(level_pid, rest, k, limit)
 
@@ -613,7 +621,6 @@ class HeuristicEstimator:
         strategy: int = 2,
         h_parallel: str = "zero",
         level_mode: str = "auto",
-        exact_limit: int = 40_000,
     ):
         if strategy not in (1, 2):
             raise ValueError("strategy must be 1 or 2")
@@ -632,7 +639,7 @@ class HeuristicEstimator:
         if level_mode == "auto":
             if problem.model.is_member_monotone() and self._serial_only:
                 level_mode = "monotone"
-            elif math.comb(n, u) <= exact_limit:
+            elif math.comb(n, u) <= _EXACT_LEVEL_LIMIT:
                 level_mode = "exact"
             else:
                 level_mode = "pairwise"

@@ -1,24 +1,26 @@
 """``repro.perf.kernels`` — the compiled batch-kernel backend.
 
-Profiling (PR 1, ``benchmarks/test_perf_batch_kernels.py``) shows solve
-time is dominated by three batch primitives: the gather+einsum node-weight
-kernels, the SDC merge walk, and the MER score-then-select level trim.
+Profiling (``benchmarks/test_perf_batch_kernels.py``) shows solve time is
+dominated by a few batch primitives: the gather+einsum node-weight
+kernels, the MER score-then-select level trim, and bounded selection.
 This package gives each a compiled implementation while keeping the
 historical NumPy expressions as a byte-for-byte-equivalent fallback:
 
 * :mod:`~repro.perf.kernels.numpy_backend` — pure NumPy, always available,
   the semantic reference;
-* :mod:`~repro.perf.kernels.native` — numba-jitted kernels (installed via
-  the ``[native]`` extra) or a zero-dependency C library compiled once
-  with the system ``cc`` and loaded through ctypes.
+* :mod:`~repro.perf.kernels.native` — a zero-dependency C library compiled
+  once with the system ``cc`` and loaded through ctypes.
 
 **Selection happens once, at import time.**  ``COSCHED_NATIVE=0`` (or
-``false``/``no``/``off``) forces the NumPy fallback;
-``COSCHED_KERNEL_BACKEND=numba|cc|numpy`` pins a specific provider.
-Otherwise numba is preferred when importable, then the cc build; a
-provider is adopted only after passing a self-check against the NumPy
+``false``/``no``/``off``) forces the NumPy fallback; otherwise the cc
+build is adopted only after passing a self-check against the NumPy
 backend on small randomized inputs, so a broken compiler or miscompiled
 library degrades to the fallback instead of corrupting results.
+
+The SDC merge walk has no compiled form: one machine's group is k cores
+by at most a few dozen ways, where the Python walk beats the cost of
+marshalling its ragged counters through ctypes.  :func:`sdc_merge_ways`
+calls the NumPy module's walk directly.
 
 Every caller (degradation models, the SDC merge, level expansion) imports
 the module-level functions below, which dispatch to the active backend.
@@ -82,17 +84,6 @@ def _self_check(impl) -> bool:
                 got = impl.pressure_node_weights(sens, aggr, nodes, 0.31, sat)
                 if not np.allclose(ref, got, rtol=0, atol=1e-12):
                     return False
-        # Large enough (k*assoc >= the cc backend's marshalling cutoff)
-        # that the compiled walk actually runs, and again tiny so the
-        # delegating small-merge path is covered too.
-        counters = [tuple(rng.uniform(0, 100, size=rng.integers(1, 50)))
-                    for _ in range(4)]
-        weights = [float(w) for w in rng.uniform(0.1, 2.0, size=4)]
-        for assoc in (96, 8):
-            if impl.sdc_merge_ways(counters, weights, assoc) != (
-                numpy_backend.sdc_merge_ways(counters, weights, assoc)
-            ):
-                return False
         w = rng.uniform(0, 1, size=64)
         w[10] = w[20] = w[30]  # exercise the (weight, index) tie-break
         for k in (1, 7, 64):
@@ -129,22 +120,13 @@ def _select_backend():
     }
     if native_disabled():
         return numpy_backend, info
-    from . import native
+    from .native import load_cc_backend
 
-    pinned = os.environ.get("COSCHED_KERNEL_BACKEND", "").strip().lower()
-    if pinned == "numpy":
-        return numpy_backend, info
-    loaders = {"numba": native.load_numba_backend, "cc": native.load_cc_backend}
-    if pinned in loaders:
-        order = [pinned]
-    else:
-        order = ["numba", "cc"]
-    for name in order:
-        impl = loaders[name]()
-        if impl is not None and _self_check(impl):
-            info["backend"] = "native"
-            info["provider"] = impl.provider
-            return impl, info
+    impl = load_cc_backend()
+    if impl is not None and _self_check(impl):
+        info["backend"] = "native"
+        info["provider"] = "cc"
+        return impl, info
     return numpy_backend, info
 
 
@@ -157,7 +139,7 @@ def active_backend() -> str:
 
 
 def backend_info() -> Dict[str, object]:
-    """Details for reports: backend, provider (numba/cc/numpy), opt-out."""
+    """Details for reports: backend, provider (cc/numpy), opt-out."""
     return dict(_INFO)
 
 
@@ -201,7 +183,7 @@ def sdc_merge_ways(
     associativity: int,
 ) -> list:
     """SDC merge: ways won per process (see :mod:`repro.cache.sdc`)."""
-    return _IMPL.sdc_merge_ways(counters, weights, associativity)
+    return numpy_backend.sdc_merge_ways(counters, weights, associativity)
 
 
 def select_smallest(weights: np.ndarray, k: int) -> np.ndarray:

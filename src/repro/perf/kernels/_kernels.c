@@ -1,6 +1,6 @@
 /* Compiled batch kernels for the co-scheduling hot path.
  *
- * Fused single-pass versions of the three measured hot spots:
+ * Fused single-pass versions of the measured hot spots:
  *
  *   - pairwise_node_weights : MatrixDegradationModel's gather + block-sum
  *     (the NumPy path materializes an (N, u, u) gather then reduces it;
@@ -8,8 +8,6 @@
  *   - pressure_node_weights : the shared miss-rate / asymmetric kernel
  *     sum_i s_i * kappa * phi(A_T - a_i) (NumPy needs three (N, u)
  *     temporaries plus an einsum; here one pass, no temporaries);
- *   - sdc_merge_ways        : Chandra et al.'s SDC position-by-position
- *     merge walk (a pure-Python double loop in the fallback);
  *   - select_smallest       : bounded selection of the k lowest weights
  *     with (weight, index) ordering — the MER top-n/u rule — so eager
  *     level expansion never materializes Python tuples to re-partition;
@@ -79,52 +77,6 @@ void pressure_node_weights(const double *sens, const double *aggr,
     for (int64_t r = 0; r < N; r++)
         out[r] = pressure_row(sens, aggr, nodes + r * u, u, kappa,
                               saturation);
-}
-
-/* SDC merge: partition `assoc` cache ways among k co-running processes.
- * counters is a flattened ragged array: process i's hit counters are
- * counters[offsets[i] .. offsets[i] + lengths[i]).  weights are the
- * access-rate normalizers.  Writes each process's won-way count to `won`.
- * Semantics mirror repro.cache.sdc.sdc_effective_ways exactly: highest
- * current rate-weighted counter wins the position (ties to the lower
- * process index), the walk stops when every live counter is <= 0, and
- * leftover positions are dealt round-robin from process 0. */
-void sdc_merge_ways(const double *counters, const int64_t *offsets,
-                    const int64_t *lengths, const double *weights,
-                    int64_t k, int64_t assoc, int64_t *won)
-{
-    int64_t ptr_buf[64];
-    int64_t *ptr = ptr_buf; /* k is the core count of one machine: tiny */
-    for (int64_t i = 0; i < k; i++) {
-        ptr[i] = 0;
-        won[i] = 0;
-    }
-    int64_t claimed = 0;
-    for (int64_t pos = 0; pos < assoc; pos++) {
-        int64_t best = -1;
-        double best_val = -1.0;
-        for (int64_t i = 0; i < k; i++) {
-            if (ptr[i] >= lengths[i])
-                continue;
-            double val = counters[offsets[i] + ptr[i]] * weights[i];
-            if (val > best_val) {
-                best_val = val;
-                best = i;
-            }
-        }
-        if (best < 0 || best_val <= 0.0)
-            break;
-        won[best] += 1;
-        ptr[best] += 1;
-        claimed += 1;
-    }
-    int64_t remaining = assoc - claimed;
-    int64_t i = 0;
-    while (remaining > 0) {
-        won[i % k] += 1;
-        remaining -= 1;
-        i += 1;
-    }
 }
 
 /* Indices of the k smallest weights, ordered by (weight, index) ascending —

@@ -1,21 +1,16 @@
-"""Native kernel providers: a cc-compiled ctypes library, or numba.
+"""The compiled kernel provider: a cc-built library loaded through ctypes.
 
-Two ways to get compiled kernels, tried by the dispatcher in
-:mod:`repro.perf.kernels`:
+``_kernels.c`` (shipped with the package) is compiled once with the system
+C compiler (``CC``, default ``cc``) into a per-user cache directory keyed
+by the source hash, then loaded through :mod:`ctypes`.  Rebuilds happen
+only when the source changes.
 
-* **numba** — installed via the ``[native]`` optional extra
-  (``pip install repro[native]``); the jitted bodies mirror the C source.
-* **cc** — zero-dependency: ``_kernels.c`` (shipped with the package) is
-  compiled once with the system C compiler into a per-user cache directory
-  keyed by the source hash, then loaded through :mod:`ctypes`.  Rebuilds
-  happen only when the source changes.
-
-Both providers expose the exact call signatures of
-:mod:`repro.perf.kernels.numpy_backend` so the dispatcher can swap them
-freely; both are verified against the NumPy backend on tiny inputs before
-being adopted (see ``_self_check`` in the package ``__init__``).  Any
-failure — no compiler, sandboxed tmpdir, broken numba — is contained here
-and reported as ``None``, never raised to import time.
+The provider exposes the call signatures of
+:mod:`repro.perf.kernels.numpy_backend` for every kernel it compiles, and
+is verified against the NumPy backend on tiny inputs before being adopted
+(see ``_self_check`` in the package ``__init__``).  Any failure — no
+compiler, sandboxed tmpdir, bad library — is contained here and reported
+as ``None``, never raised to import time.
 """
 
 from __future__ import annotations
@@ -26,27 +21,16 @@ import os
 import subprocess
 import tempfile
 import threading
-from array import array
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import numpy_backend
 
-__all__ = ["load_cc_backend", "load_numba_backend"]
+__all__ = ["load_cc_backend"]
 
 _SRC = Path(__file__).with_name("_kernels.c")
-
-#: sdc_merge_ways in C uses a fixed-size pointer scratch; groups larger
-#: than this (never seen in practice — k is one machine's core count)
-#: fall back to the NumPy walk.
-_SDC_MAX_GROUP = 64
-
-#: Below this many position*process steps the pure-Python walk beats the
-#: compiled call — marshalling through ctypes costs more than the walk
-#: itself.  Measured crossover is ~k=8, assoc=32.
-_SDC_MIN_WORK = 256
 
 _F64 = ctypes.POINTER(ctypes.c_double)
 _I64 = ctypes.POINTER(ctypes.c_int64)
@@ -114,8 +98,6 @@ def _compile_library(source: Path) -> Optional[Path]:
 class _CcBackend:
     """ctypes wrappers around the compiled ``_kernels.c`` library."""
 
-    provider = "cc"
-
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
         lib.pairwise_node_weights.argtypes = [
@@ -127,10 +109,6 @@ class _CcBackend:
             ctypes.c_double, ctypes.c_double, _F64,
         ]
         lib.pressure_node_weights.restype = None
-        lib.sdc_merge_ways.argtypes = [
-            _F64, _I64, _I64, _F64, ctypes.c_int64, ctypes.c_int64, _I64,
-        ]
-        lib.sdc_merge_ways.restype = None
         lib.select_smallest.argtypes = [
             _F64, ctypes.c_int64, ctypes.c_int64, _I64,
         ]
@@ -170,40 +148,6 @@ class _CcBackend:
             out.ctypes.data_as(_F64),
         )
         return out
-
-    def sdc_merge_ways(self, counters: Sequence[Sequence[float]],
-                       weights: Sequence[float], associativity: int) -> list:
-        k = len(counters)
-        if (
-            k == 0
-            or k > _SDC_MAX_GROUP
-            or k * associativity < _SDC_MIN_WORK
-        ):
-            return numpy_backend.sdc_merge_ways(counters, weights,
-                                                associativity)
-        # Marshalling is the hot part at merge sizes, so the ragged
-        # counters go through stdlib ``array`` buffers (C-speed extend,
-        # zero-copy pointer via buffer_info) rather than numpy allocation
-        # + fancy indexing.  The arrays must stay referenced until the
-        # call returns — they are locals, so they do.
-        offsets = array("q", bytes(8 * k))
-        lengths = array("q", bytes(8 * k))
-        flat = array("d")
-        for i, c in enumerate(counters):
-            offsets[i] = len(flat)
-            lengths[i] = len(c)
-            flat.extend(c)
-        w = array("d", [float(x) for x in weights])
-        won = array("q", bytes(8 * k))
-        self._lib.sdc_merge_ways(
-            ctypes.cast(flat.buffer_info()[0], _F64),
-            ctypes.cast(offsets.buffer_info()[0], _I64),
-            ctypes.cast(lengths.buffer_info()[0], _I64),
-            ctypes.cast(w.buffer_info()[0], _F64),
-            k, int(associativity),
-            ctypes.cast(won.buffer_info()[0], _I64),
-        )
-        return list(won)
 
     def select_smallest(self, weights: np.ndarray, k: int) -> np.ndarray:
         w = np.ascontiguousarray(weights, dtype=np.float64)
@@ -293,142 +237,4 @@ def load_cc_backend() -> Optional[_CcBackend]:
             return None
         return _CcBackend(ctypes.CDLL(str(lib_path)))
     except OSError:
-        return None
-
-
-# --------------------------------------------------------------------- #
-# numba provider
-# --------------------------------------------------------------------- #
-
-
-class _NumbaBackend:
-    """numba-jitted kernels; bodies mirror ``_kernels.c`` loop for loop."""
-
-    provider = "numba"
-
-    def __init__(self, njit):
-        @njit(cache=False)
-        def _pairwise(P, nodes, out):  # pragma: no cover - requires numba
-            N, u = nodes.shape
-            for r in range(N):
-                total = 0.0
-                for i in range(u):
-                    pi = nodes[r, i]
-                    for j in range(u):
-                        if j != i:
-                            total += P[pi, nodes[r, j]]
-                out[r] = total
-
-        @njit(cache=False)
-        def _pressure(sens, aggr, nodes, kappa, saturation, out):
-            # pragma: no cover - requires numba
-            N, u = nodes.shape
-            for r in range(N):
-                asum = 0.0
-                for i in range(u):
-                    asum += aggr[nodes[r, i]]
-                total = 0.0
-                if saturation > 0.0:
-                    for i in range(u):
-                        others = asum - aggr[nodes[r, i]]
-                        total += sens[nodes[r, i]] * (
-                            saturation * (1.0 - np.exp(-others / saturation))
-                        )
-                else:
-                    for i in range(u):
-                        total += sens[nodes[r, i]] * (asum - aggr[nodes[r, i]])
-                out[r] = kappa * total
-
-        @njit(cache=False)
-        def _sdc_merge(flat, offsets, lengths, weights, assoc, won):
-            # pragma: no cover - requires numba
-            k = len(lengths)
-            ptr = np.zeros(k, dtype=np.int64)
-            claimed = 0
-            for _pos in range(assoc):
-                best = -1
-                best_val = -1.0
-                for i in range(k):
-                    if ptr[i] >= lengths[i]:
-                        continue
-                    val = flat[offsets[i] + ptr[i]] * weights[i]
-                    if val > best_val:
-                        best_val = val
-                        best = i
-                if best < 0 or best_val <= 0.0:
-                    break
-                won[best] += 1
-                ptr[best] += 1
-                claimed += 1
-            remaining = assoc - claimed
-            i = 0
-            while remaining > 0:
-                won[i % k] += 1
-                remaining -= 1
-                i += 1
-
-        self._pairwise = _pairwise
-        self._pressure = _pressure
-        self._sdc_merge = _sdc_merge
-
-    def pairwise_node_weights(self, pairwise, nodes):
-        # pragma: no cover - requires numba
-        P = np.ascontiguousarray(pairwise, dtype=np.float64)
-        nd = np.ascontiguousarray(nodes, dtype=np.int64)
-        out = np.empty(len(nd), dtype=np.float64)
-        self._pairwise(P, nd, out)
-        return out
-
-    def pressure_node_weights(self, sens, aggr, nodes, kappa, saturation):
-        # pragma: no cover - requires numba
-        s = np.ascontiguousarray(sens, dtype=np.float64)
-        a = s if aggr is sens else np.ascontiguousarray(aggr, dtype=np.float64)
-        nd = np.ascontiguousarray(nodes, dtype=np.int64)
-        out = np.empty(len(nd), dtype=np.float64)
-        self._pressure(
-            s, a, nd, float(kappa),
-            -1.0 if saturation is None else float(saturation), out,
-        )
-        return out
-
-    def sdc_merge_ways(self, counters, weights, associativity):
-        # pragma: no cover - requires numba
-        k = len(counters)
-        if k == 0:
-            return numpy_backend.sdc_merge_ways(counters, weights,
-                                                associativity)
-        lengths = np.array([len(c) for c in counters], dtype=np.int64)
-        offsets = np.zeros(k, dtype=np.int64)
-        np.cumsum(lengths[:-1], out=offsets[1:])
-        flat = np.empty(int(lengths.sum()), dtype=np.float64)
-        for i, c in enumerate(counters):
-            flat[offsets[i]:offsets[i] + lengths[i]] = c
-        w = np.ascontiguousarray(weights, dtype=np.float64)
-        won = np.zeros(k, dtype=np.int64)
-        self._sdc_merge(flat, offsets, lengths, w, int(associativity), won)
-        return [int(x) for x in won]
-
-    def select_smallest(self, weights, k):
-        # Selection is memory-bound; numba gains nothing over the stable
-        # argsort, so the numba provider delegates.
-        return numpy_backend.select_smallest(weights, k)
-
-    def pressure_window_trim(self, sens, aggr, kappa, saturation, level_pid,
-                             ranked, table, limit):
-        # pragma: no cover - requires numba
-        # The jitted pressure kernel scores; NumPy gathers and selects.
-        return numpy_backend.pressure_window_trim(
-            sens, aggr, kappa, saturation, level_pid, ranked, table, limit,
-            score=self.pressure_node_weights)
-
-
-def load_numba_backend() -> Optional[_NumbaBackend]:
-    """Jit the kernels with numba when it is importable; None otherwise."""
-    try:  # pragma: no cover - exercised only with the [native] extra
-        from numba import njit
-    except Exception:
-        return None
-    try:  # pragma: no cover - exercised only with the [native] extra
-        return _NumbaBackend(njit)
-    except Exception:
         return None

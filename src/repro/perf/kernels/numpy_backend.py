@@ -1,9 +1,10 @@
 """Pure-NumPy reference implementations of the batch kernels.
 
 This is the fallback backend — always importable, no compiler, no optional
-dependency — and the *semantic definition* every native backend is tested
+dependency — and the *semantic definition* the compiled backend is tested
 against (``tests/perf/test_kernels_equivalence.py`` asserts 1e-9 agreement
-on randomized inputs).  The vectorized bodies are exactly the expressions
+on randomized inputs).  Its SDC merge walk is the only one: it has no
+compiled form.  The vectorized bodies are exactly the expressions
 the degradation models shipped before the backends were split out, so
 selecting this backend reproduces the historical results bit-for-bit.
 """
@@ -120,18 +121,17 @@ def pressure_window_trim(
     ranked: np.ndarray,
     table: np.ndarray,
     limit: int,
-    score=pressure_node_weights,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """HA*'s MER trim of one window: the ``limit`` lightest of its rows.
 
     Row ``r`` is ``[level_pid, ranked[table[r]]]``, scored in that member
-    order by ``score`` (a :func:`pressure_node_weights` implementation);
+    order by :func:`pressure_node_weights`;
     the ``limit`` smallest in ``(weight, row)`` order come back as
     ``(nodes, weights)``, each node sorted ascending.
     """
     rows = np.empty((len(table), table.shape[1] + 1), dtype=np.intp)
     rows[:, 0] = level_pid
     rows[:, 1:] = np.asarray(ranked)[table]
-    weights = score(sens, aggr, rows, kappa, saturation)
+    weights = pressure_node_weights(sens, aggr, rows, kappa, saturation)
     sel = select_smallest(weights, limit)
     return np.sort(rows[sel], axis=1), weights[sel]

@@ -41,7 +41,7 @@ import heapq
 import itertools
 import threading
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..core.problem import CoSchedulingProblem
 from ..core.schedule import CoSchedule
@@ -248,11 +248,6 @@ class SolveService:
         Optional :class:`~repro.perf.Tracer`; the service emits ``svc_*``
         events through it (guarded by an internal lock, so a shared sink
         is safe even with several workers).
-    solver_factories:
-        Optional override mapping ``name -> factory`` that *replaces* the
-        runtime registry for this service instance (tests inject failing
-        solvers this way).  When ``None`` (the default), solver specs
-        resolve through :func:`repro.runtime.run_solve`.
     shed_policy:
         Optional comma-separated chain of cheap registry solver specs
         (validated by :func:`repro.runtime.resolve_shed_policy` — exact
@@ -277,7 +272,6 @@ class SolveService:
         per_request_budget: Optional[Budget] = None,
         global_budget: Optional[Budget] = None,
         tracer=None,
-        solver_factories: Optional[Dict[str, Callable[[], object]]] = None,
         shed_policy: Optional[str] = None,
         shed_budget: Optional[Budget] = None,
     ):
@@ -292,9 +286,6 @@ class SolveService:
         self.per_request_budget = per_request_budget
         self.global_budget = global_budget
         self.tracer = tracer
-        self.solver_factories = (
-            dict(solver_factories) if solver_factories is not None else None
-        )
         try:
             self._check_solver(default_solver)
         except RequestRejected as exc:
@@ -426,28 +417,11 @@ class SolveService:
     # admission
     # ------------------------------------------------------------------ #
 
-    def available_solvers(self) -> tuple:
-        """The solver names this service accepts — the runtime registry's
-        set unless a ``solver_factories`` override is installed.  Reported
-        by ``GET /metrics`` so clients see the same set ``cosched list``
-        prints."""
-        if self.solver_factories is not None:
-            return tuple(sorted(self.solver_factories))
-        return solver_names()
-
     def _check_solver(self, spec: str, problem=None) -> None:
         """Raise :class:`RequestRejected` unless ``spec`` resolves — and,
         when ``problem`` is given, unless the registry entry declares the
         scenario capabilities the problem requires (reason
         ``"unsupported_scenario"``, surfaced as HTTP 400)."""
-        if self.solver_factories is not None:
-            if spec not in self.solver_factories:
-                raise RequestRejected(
-                    "unknown_solver",
-                    f"{spec!r} is not one of "
-                    f"{sorted(self.solver_factories)}",
-                )
-            return
         try:
             parsed = parse_spec(spec)
         except SpecError as exc:
@@ -759,11 +733,7 @@ class SolveService:
             self._emit("svc_warm_start", id=ticket.ticket_id, fingerprint=fp,
                        incumbent=warm.objective, from_solver=warm.solver)
         try:
-            if self.solver_factories is not None:
-                solver = self.solver_factories[ticket.solver]()
-                result = solver.solve(problem, budget=budget,
-                                      initial_schedule=warm_schedule)
-            elif (ticket.stale_partial is not None
+            if (ticket.stale_partial is not None
                     and parse_spec(ticket.solver).name == "repair"):
                 # Delta path: hand the base schedule's surviving groups to
                 # the repair solver (constructed per run — instances are
@@ -854,7 +824,7 @@ class SolveService:
                     if self._shed_policy is not None else None
                 ),
             },
-            "solvers": list(self.available_solvers()),
+            "solvers": list(solver_names()),
             "store": self.store.stats(),
             "solver_counters": solver_counters,
             # Worker solves run in this process, so the backend selected at

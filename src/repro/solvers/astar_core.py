@@ -659,24 +659,32 @@ class AStarSearch(Solver):
                         stopped = budget.stop_reason
                         anytime_rec = rec
                         break
-                    expanded += 1
-                    budget.charge()
+                    # A record re-queued by partial expansion was
+                    # expanded (and charged) on its first pop; later pops
+                    # only take its next batch of children.
+                    resumed = rec.stream is not None
+                    if resumed:
+                        resumes += 1
+                    else:
+                        expanded += 1
+                        budget.charge()
                     if tracer is not None:
-                        depth = source.depth(rec)
-                        if depth > max_depth:
-                            max_depth = depth
+                        if not resumed:
+                            depth = source.depth(rec)
+                            if depth > max_depth:
+                                max_depth = depth
+                                tracer.emit(
+                                    "level", solver=self.name, depth=depth,
+                                    expanded=expanded,
+                                )
                             tracer.emit(
-                                "level", solver=self.name, depth=depth,
-                                expanded=expanded,
+                                "expand", solver=self.name, depth=depth,
+                                g=rec.g, f=_f, expanded=expanded,
                             )
-                        tracer.emit(
-                            "expand", solver=self.name, depth=depth,
-                            g=rec.g, f=_f, expanded=expanded,
-                        )
                         dismissed_before = counters["dismissed"]
 
                     if source.stream is not None:
-                        if rec.stream is None:
+                        if not resumed:
                             rec.stream = source.stream(rec)
                             rec.pending = next(rec.stream, None)
                         batch_nodes = []
@@ -687,7 +695,7 @@ class AStarSearch(Solver):
                             batch_nodes.append(rec.pending)
                             rec.pending = next(rec.stream, None)
                         if rec.pending is not None:
-                            resumes += 1
+                            perf.incr("heap_pushes")
                             if rec.h_tail is None:
                                 rec.h_tail = source.h_tail(rec)
                             f_resume = rec.g + rec.pending[1] + rec.h_tail
@@ -709,7 +717,7 @@ class AStarSearch(Solver):
                                 "dismiss", solver=self.name,
                                 count=newly, expanded=expanded,
                             )
-        perf.incr("heap_pushes", counters["pushed"] + resumes)
+        perf.incr("heap_pushes", counters["pushed"])
         if stopped is not None and tracer is not None:
             tracer.emit(
                 "budget_stop", solver=self.name, reason=stopped,

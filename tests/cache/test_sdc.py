@@ -1,10 +1,12 @@
 """Unit tests for the Stack Distance Competition model."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.sdc import sdc_corun_misses, sdc_effective_ways
 from repro.cache.sdp import StackDistanceProfile, geometric_sdp
+from repro.perf.kernels import sdc_merge_ways
 
 
 def profiles_strategy(k, assoc=8):
@@ -55,6 +57,51 @@ class TestEffectiveWays:
             sdc_effective_ways([p, p], associativity=8, rates=[1.0])
         with pytest.raises(ValueError):
             sdc_effective_ways([p, p], associativity=8, rates=[1.0, -1.0])
+
+
+class TestMergeWalk:
+    """The position-by-position merge walk ``sdc_effective_ways`` runs."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_randomized_groups(self, seed):
+        # With non-increasing counters the walk takes the ``assoc`` largest
+        # positive rate-weighted counters, ties to the lower process, then
+        # deals what is left round-robin from process 0.
+        rng = np.random.default_rng(300 + seed)
+        k = int(rng.integers(1, 9))
+        counters = [
+            tuple(sorted(rng.uniform(0.0, 100.0,
+                                     size=int(rng.integers(1, 70))),
+                         reverse=True))
+            for _ in range(k)
+        ]
+        weights = [float(w) for w in rng.uniform(0.0, 2.0, size=k)]
+        ranked = sorted(
+            ((c * weights[i], i) for i in range(k) for c in counters[i]
+             if c * weights[i] > 0.0),
+            key=lambda t: (-t[0], t[1]),
+        )
+        for assoc in (4, 16, 64, 128):
+            expected = [0] * k
+            for _val, i in ranked[:assoc]:
+                expected[i] += 1
+            for j in range(assoc - sum(expected)):
+                expected[j % k] += 1
+            assert sdc_merge_ways(counters, weights, assoc) == expected
+
+    def test_exhausted_counters_deal_round_robin(self):
+        # Two positions are won outright; the other 63 go 0, 1, 0, ...
+        assert sdc_merge_ways([(1.0,), (2.0,)], [1.0, 1.0], 65) == [33, 32]
+
+    def test_ties_go_to_lower_index(self):
+        counters = [(5.0,) * 40, (5.0,) * 40, (5.0,) * 40]
+        assert sdc_merge_ways(counters, [1.0, 1.0, 1.0], 96) == [40, 40, 16]
+
+    def test_zero_rate_process_wins_nothing_directly(self):
+        # Process 1's counters weigh 0: the walk stops after process 0's
+        # 80 positions and the 48 left are split evenly.
+        counters = [(9.0,) * 80, (9.0,) * 80]
+        assert sdc_merge_ways(counters, [1.0, 0.0], 128) == [104, 24]
 
 
 class TestCorunMisses:

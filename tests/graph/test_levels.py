@@ -50,13 +50,14 @@ class TestSuccessorGenerator:
         top = gen.successors(tuple(range(8)), limit=5)
         assert [w for _n, w in top] == pytest.approx(full[:5])
 
-    def test_lazy_path_matches_exact(self):
+    def test_lazy_path_matches_exact(self, monkeypatch):
         problem = pressure_problem(16)
-        exact_gen = SuccessorGenerator(problem, lazy_threshold=10**9)
-        lazy_gen = SuccessorGenerator(problem, lazy_threshold=1)
+        gen = SuccessorGenerator(problem)
         st_ = tuple(range(16))
-        exact = exact_gen.successors(st_, limit=4)
-        lazy = lazy_gen.successors(st_, limit=4)
+        monkeypatch.setattr(levels, "_LAZY_THRESHOLD", 10**9)
+        exact = gen.successors(st_, limit=4)
+        monkeypatch.setattr(levels, "_LAZY_THRESHOLD", 1)
+        lazy = gen.successors(st_, limit=4)
         assert [w for _n, w in exact] == pytest.approx([w for _n, w in lazy])
         assert [set(n) for n, _ in exact] == [set(n) for n, _ in lazy]
 

@@ -1,14 +1,15 @@
-"""Native-vs-NumPy kernel equivalence: the contract behind backend swap.
+"""cc-vs-NumPy kernel equivalence: the contract behind backend swap.
 
 The compiled backend may only ship results the NumPy reference would have
 produced — callers never know which backend scored them.  This suite
 checks that bit-level promise on randomized inputs far larger than the
-import-time self-check: every degradation model's batch kernel, the SDC
-merge walk across ragged group shapes, and the (weight, index) tie-break
-of the fused level select.  A subprocess test pins ``COSCHED_NATIVE=0``
-and asserts the dispatcher reports (and uses) the NumPy fallback.
+import-time self-check: every degradation model's batch kernel, HA*'s
+fused MER window trim, and the (weight, index) tie-break of the level
+select.  A subprocess test pins ``COSCHED_NATIVE=0`` and asserts the
+dispatcher reports (and uses) the NumPy fallback.  The SDC merge walk has
+one implementation; its semantics are pinned in ``tests/cache/test_sdc.py``.
 
-When no native provider loads in this environment, the dispatch tests
+When the cc build does not load in this environment, the dispatch tests
 reduce to NumPy-vs-NumPy and the dedicated native assertions skip.
 """
 
@@ -40,9 +41,9 @@ def nodes_for(rng, n, u, count):
 
 
 def native_impl():
-    impl = native.load_numba_backend() or native.load_cc_backend()
+    impl = native.load_cc_backend()
     if impl is None:
-        pytest.skip("no native kernel provider in this environment")
+        pytest.skip("no cc kernel build in this environment")
     return impl
 
 
@@ -116,48 +117,6 @@ class TestDegradationModelEquivalence:
             assert abs(scalar - w) < 1e-9
 
 
-class TestSdcMergeEquivalence:
-    """The merge walk: ragged shapes, rates, ties, zero counters."""
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_randomized_groups(self, seed):
-        rng = np.random.default_rng(300 + seed)
-        impl = native_impl()
-        k = int(rng.integers(1, 9))
-        counters = [
-            tuple(rng.uniform(0.0, 100.0,
-                              size=int(rng.integers(1, 70))))
-            for _ in range(k)
-        ]
-        weights = [float(w) for w in rng.uniform(0.0, 2.0, size=k)]
-        # Span both sides of the cc backend's small-merge cutoff.
-        for assoc in (4, 16, 64, 128):
-            assert impl.sdc_merge_ways(counters, weights, assoc) == \
-                numpy_backend.sdc_merge_ways(counters, weights, assoc)
-            assert kernels.sdc_merge_ways(counters, weights, assoc) == \
-                numpy_backend.sdc_merge_ways(counters, weights, assoc)
-
-    def test_exhausted_counters_deal_round_robin(self):
-        impl = native_impl()
-        counters = [(1.0,), (2.0,)]
-        for assoc in (64, 256):
-            assert impl.sdc_merge_ways(counters, [1.0, 1.0], assoc) == \
-                numpy_backend.sdc_merge_ways(counters, [1.0, 1.0], assoc)
-
-    def test_ties_go_to_lower_index(self):
-        impl = native_impl()
-        counters = [(5.0,) * 40, (5.0,) * 40, (5.0,) * 40]
-        weights = [1.0, 1.0, 1.0]
-        assert impl.sdc_merge_ways(counters, weights, 96) == \
-            numpy_backend.sdc_merge_ways(counters, weights, 96)
-
-    def test_zero_rate_process_wins_nothing_directly(self):
-        impl = native_impl()
-        counters = [(9.0,) * 80, (9.0,) * 80]
-        assert impl.sdc_merge_ways(counters, [1.0, 0.0], 128) == \
-            numpy_backend.sdc_merge_ways(counters, [1.0, 0.0], 128)
-
-
 class TestSelectSmallest:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_stable_argsort(self, seed):
@@ -176,17 +135,6 @@ class TestSelectSmallest:
         assert list(kernels.select_smallest(w, 99)) == [1, 2, 0]
 
 
-def window_providers():
-    """Every compiled provider that loads here, by name."""
-    found = [(name, impl) for name, impl in (
-        ("cc", native.load_cc_backend()),
-        ("numba", native.load_numba_backend()),
-    ) if impl is not None]
-    if not found:
-        pytest.skip("no native kernel provider in this environment")
-    return found
-
-
 def window_case(rng, n, k, limit, pads=0):
     """Rates (``pads`` zero-rate padding pids), a level pid, ``ranked``
     and HA*'s MER window table for ``limit`` over ``k`` co-runners."""
@@ -203,7 +151,7 @@ def window_case(rng, n, k, limit, pads=0):
 
 class TestPressureWindowTrim:
     """HA*'s fused MER trim: same nodes, order and (to round-off) weights
-    as the NumPy reference; bit-identical to the provider's own
+    as the NumPy reference; bit-identical to the cc build's own
     gather + pressure kernel + select composition."""
 
     @pytest.mark.parametrize("seed", range(3))
@@ -223,7 +171,7 @@ class TestPressureWindowTrim:
             limit)
         assert len(ref_nodes) == min(limit, len(table))
         assert (np.diff(ref_nodes, axis=1) > 0).all()
-        for name, impl in window_providers() + [("dispatch", kernels)]:
+        for name, impl in (("cc", native_impl()), ("dispatch", kernels)):
             nodes, w = impl.pressure_window_trim(
                 rates, rates, kappa, saturation, level_pid, ranked, table,
                 limit)
@@ -254,11 +202,10 @@ class TestPressureWindowTrim:
         ref_nodes, ref_w = numpy_backend.pressure_window_trim(
             rates, rates, 0.5, 4.0, 0, ranked, table, 16)
         assert len(np.unique(ref_w)) < len(ref_w)
-        for name, impl in window_providers():
-            nodes, w = impl.pressure_window_trim(
-                rates, rates, 0.5, 4.0, 0, ranked, table, 16)
-            np.testing.assert_array_equal(nodes, ref_nodes, err_msg=name)
-            np.testing.assert_array_equal(w, ref_w, err_msg=name)
+        nodes, w = native_impl().pressure_window_trim(
+            rates, rates, 0.5, 4.0, 0, ranked, table, 16)
+        np.testing.assert_array_equal(nodes, ref_nodes)
+        np.testing.assert_array_equal(w, ref_w)
 
     def test_threads_keep_their_own_buffers(self):
         # The service solves on worker threads; ctypes drops the GIL in the
@@ -270,30 +217,30 @@ class TestPressureWindowTrim:
         refs = [numpy_backend.pressure_window_trim(
             rates, rates, 0.3, 4.0, level_pid, r, table, 16)[0]
             for r in orders]
-        for _name, impl in window_providers():
-            failures = []
+        impl = native_impl()
+        failures = []
 
-            def work(i):
-                for _ in range(300):
-                    nodes, _w = impl.pressure_window_trim(
-                        rates, rates, 0.3, 4.0, level_pid, orders[i], table,
-                        16)
-                    if not np.array_equal(nodes, refs[i]):
-                        failures.append(i)
+        def work(i):
+            for _ in range(300):
+                nodes, _w = impl.pressure_window_trim(
+                    rates, rates, 0.3, 4.0, level_pid, orders[i], table,
+                    16)
+                if not np.array_equal(nodes, refs[i]):
+                    failures.append(i)
 
-            threads = [threading.Thread(target=work, args=(i,))
-                       for i in range(len(orders))]
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=60)
-            finally:
-                sys.setswitchinterval(interval)
-            assert not any(t.is_alive() for t in threads)
-            assert not failures
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(orders))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures
 
 
 class TestForcedFallback:
@@ -330,10 +277,6 @@ class TestForcedFallback:
         default = self._probe({})
         np.testing.assert_allclose(disabled["w"], default["w"],
                                    rtol=0, atol=ATOL)
-
-    def test_backend_pin_numpy(self):
-        got = self._probe({"COSCHED_KERNEL_BACKEND": "numpy"})
-        assert got["info"]["backend"] == "numpy"
 
     def test_report_surfaces_backend(self):
         # SolveReport.to_dict carries the active backend name.

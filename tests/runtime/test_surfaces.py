@@ -33,16 +33,6 @@ class TestSolverSetParity:
     def test_service_metrics_report_the_registry_set(self):
         with SolveService(workers=1) as svc:
             assert svc.metrics()["solvers"] == list(solver_names())
-            assert svc.available_solvers() == solver_names()
-
-    def test_override_shrinks_the_advertised_set(self):
-        from repro.solvers import PolitenessGreedy
-
-        with SolveService(
-            workers=1, default_solver="pg",
-            solver_factories={"pg": PolitenessGreedy},
-        ) as svc:
-            assert svc.metrics()["solvers"] == ["pg"]
 
     def test_submit_accepts_what_solve_accepts(self):
         # The old drift: `submit --solver osvp` failed while `solve` worked

@@ -12,6 +12,7 @@ from repro.core.objective import evaluate_schedule
 from repro.core.problem import CoSchedulingProblem
 from repro.perf import Tracer
 from repro.perf.tracer import trace_to_list
+from repro.runtime.registry import REGISTRY, _replace_factory
 from repro.service import RequestRejected, SolutionStore, SolveService
 from repro.solvers import Budget
 from repro.workloads.synthetic import random_serial_instance
@@ -292,27 +293,26 @@ def test_stop_fails_queued_primaries_and_their_followers():
     assert follower.error == "service stopped"
 
 
-def test_worker_failure_fails_ticket_and_followers():
-    def boom():
+def test_worker_failure_fails_ticket_and_followers(monkeypatch):
+    def boom(**_params):
         raise RuntimeError("solver construction exploded")
 
-    svc = SolveService(
-        workers=1, default_solver="pg",
-        solver_factories={"pg": boom},
-    )
-    primary = svc.submit(make_problem(90))
-    follower = svc.submit(make_problem(90))
-    svc.start()
-    try:
-        assert primary.wait(30.0) and follower.wait(30.0)
-        assert primary.state == "failed"
-        assert follower.state == "failed"
-        assert "exploded" in primary.error
-        assert svc.metrics()["requests"]["errors"] == 1
-    finally:
-        svc.stop()
-    # The failure must not poison the fingerprint: a retry with a working
-    # factory solves normally.
+    with monkeypatch.context() as m:
+        m.setitem(REGISTRY, "pg", _replace_factory("pg", boom))
+        svc = SolveService(workers=1, default_solver="pg")
+        primary = svc.submit(make_problem(90))
+        follower = svc.submit(make_problem(90))
+        svc.start()
+        try:
+            assert primary.wait(30.0) and follower.wait(30.0)
+            assert primary.state == "failed"
+            assert follower.state == "failed"
+            assert "exploded" in primary.error
+            assert svc.metrics()["requests"]["errors"] == 1
+        finally:
+            svc.stop()
+    # The failure must not poison the fingerprint: a retry with the
+    # registry's working factory solves normally.
     with SolveService(workers=1, default_solver="pg") as svc2:
         retry = svc2.submit(make_problem(90))
         assert retry.wait(30.0)

@@ -68,9 +68,9 @@ class TestProblem:
         problem = serial_problem(D)
         problem.degradation(0, frozenset({1}))
         problem.degradation(0, frozenset({1}))
-        assert problem.stats["degradation_evals"] == 1
+        assert problem.counters.count("degradation_evals") == 1
         problem.clear_caches()
-        assert problem.stats["degradation_evals"] == 0
+        assert problem.counters.count("degradation_evals") == 0
 
     def test_eq9_combination_for_pc(self):
         """Eq. 9: d = cache degradation + comm_time / single_time."""

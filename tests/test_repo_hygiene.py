@@ -9,7 +9,9 @@ The docs-lint half (``TestDocsLint``) keeps the documentation from
 drifting: every public package has an API.md section, every CLI flag is
 documented, every documented ``cosched`` subcommand exists, and every
 python code fence in the docs parses and imports only names that exist.
-CI runs this file as its own job.
+``TestEnvVars`` holds the ``COSCHED_*`` environment variables the code
+reads and the ones the docs name to the same set.  CI runs this file as
+its own job.
 """
 
 import ast
@@ -409,3 +411,32 @@ class TestBenchmarkCoverage:
             assert any(artifact in n for n in names), (
                 f"no benchmark covers {artifact}"
             )
+
+
+class TestEnvVars:
+    """Every ``COSCHED_*`` variable the package reads is documented, and
+    every one the docs name is still read by the package or the bench."""
+
+    READ = re.compile(r"environ(?:\.get)?[(\[]\s*[\"'](COSCHED_\w+)")
+    NAMED = re.compile(r"\bCOSCHED_[A-Z0-9_]+")
+
+    def read_in(self, paths, pattern):
+        return {
+            name for path in paths
+            for name in pattern.findall(path.read_text())
+        }
+
+    def test_every_variable_read_is_documented(self):
+        read = self.read_in(SRC.rglob("*.py"), self.READ)
+        assert "COSCHED_NATIVE" in read
+        documented = self.read_in(sorted((REPO / "docs").glob("*.md")),
+                                  self.NAMED)
+        missing = sorted(read - documented)
+        assert not missing, f"read under src/repro, named in no doc: {missing}"
+
+    def test_every_documented_variable_is_read(self):
+        used = self.read_in(SRC.rglob("*.py"), self.READ) | self.read_in(
+            (REPO / "bench").glob("*.py"),
+            re.compile(r"[\"'](COSCHED_\w+)[\"']"))
+        stale = sorted(self.read_in(DOC_FILES, self.NAMED) - used)
+        assert not stale, f"documented but read nowhere: {stale}"
