@@ -11,7 +11,7 @@
     cosched graph --cluster dual BT CG EP FT IS LU     # Fig. 3-style view
     cosched simulate --jobs 60 --machines 4            # online policies
     cosched serve --port 8831 --workers 2              # memoizing HTTP service
-    cosched serve --shards 4 --store memo.jsonl        # multi-process tier
+    cosched serve --store memo.jsonl                   # memo survives restarts
     cosched submit --url http://127.0.0.1:8831 BT CG EP FT
     cosched replay --n 32 --churn 0.5      # incremental repair vs re-solve
 
@@ -28,13 +28,13 @@ the instance through the :mod:`repro.service` codec, so a solve is
 reproducible outside the catalog.  ``graph`` renders the co-scheduling
 graph with the chosen solver's path highlighted; ``simulate`` races online
 placement policies on a random arrival trace.  ``serve`` runs the
-memoizing solve service (``docs/SERVICE.md``) — single-process by
-default, or ``--shards N`` for the multi-process sharded tier
-(``docs/DEPLOYMENT.md``) with graceful SIGTERM drain and load-shedding
-via ``--shed-solver``; ``submit`` sends one problem to a running service
-and prints the resolved schedule.  ``replay`` drives an arrival trace
-through the incremental repair engine (``docs/ONLINE.md``) and compares
-amortized repair latency against per-event full re-solves.
+memoizing solve service (``docs/SERVICE.md``, ``docs/DEPLOYMENT.md``) in
+one process, with graceful SIGTERM drain (exit 1 when the drain times
+out) and load-shedding via ``--shed-solver``; ``submit`` sends one
+problem to a running service and prints the resolved schedule.
+``replay`` drives an arrival trace through the incremental repair engine
+(``docs/ONLINE.md``) and compares amortized repair latency against
+per-event full re-solves.
 
 Every subcommand resolves solvers through :mod:`repro.runtime` — the CLI,
 the HTTP service and the experiment runners all accept the same solver
@@ -345,8 +345,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     shed = args.shed_solver or None
     stop = threading.Event()
-    # SIGTERM (and Ctrl-C) triggers the graceful drain contract: stop
-    # admitting (503 + Retry-After), finish everything in flight, exit.
+    # SIGTERM triggers the graceful drain contract: stop admitting (503 +
+    # Retry-After), finish everything in flight, exit.  Ctrl-C stops at once.
     signal.signal(signal.SIGTERM, lambda *_: stop.set())
 
     tracer = None
@@ -354,38 +354,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from .perf import Tracer
 
         tracer = Tracer(args.trace, flush_every=1)
-
-    if args.shards > 0:
-        from .service import ShardedService, start_dispatcher_server
-
-        sharded = ShardedService(
-            shards=args.shards,
-            workers_per_shard=args.workers,
-            max_queue=args.max_queue,
-            default_solver=args.solver,
-            store_path=args.store,
-            store_capacity=args.store_capacity,
-            shed_policy=shed,
-            drain_timeout=args.drain_timeout,
-            tracer=tracer,
-        )
-        server = start_dispatcher_server(sharded, host=args.host,
-                                         port=args.port)
-        print(f"cosched sharded tier on {server.url} "
-              f"({args.shards} shards x {args.workers} workers, "
-              f"default solver {args.solver!r}, shed policy {shed!r}; "
-              "POST /solve, GET /status/<id>, GET /metrics, GET /health; "
-              "SIGTERM drains)")
-        try:
-            stop.wait()
-        except KeyboardInterrupt:
-            pass
-        print("\ndraining sharded tier", file=sys.stderr)
-        graceful = sharded.drain()
-        server.shutdown()
-        if tracer is not None:
-            tracer.close()
-        return 0 if graceful else 1
 
     from .service import SolutionStore, SolveService, start_http_server
 
@@ -403,19 +371,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"({args.workers} workers, default solver {args.solver!r}; "
           "POST /solve, GET /status/<id>, GET /metrics; "
           "SIGTERM drains, Ctrl-C stops)")
+    graceful = True
     try:
         stop.wait()
     except KeyboardInterrupt:
         print("\nshutting down", file=sys.stderr)
     else:
         print("\ndraining", file=sys.stderr)
-        service.drain(timeout=args.drain_timeout)
+        graceful = service.drain(timeout=args.drain_timeout)
     server.shutdown()
     service.stop()
     store.close()
     if tracer is not None:
         tracer.close()
-    return 0
+    return 0 if graceful else 1
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
@@ -643,21 +612,15 @@ def build_parser() -> argparse.ArgumentParser:
              "'python -m repro.analysis.trace_report FILE'",
     )
     p_serve.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="run the multi-process tier: N shard worker processes behind "
-             "a fingerprint-routing dispatcher (0 = single process; see "
-             "docs/DEPLOYMENT.md)",
-    )
-    p_serve.add_argument(
         "--shed-solver", default="pg", metavar="SPEC",
         help="cheap non-exact solver chain used to degrade (not reject) "
-             "requests when a queue saturates or a shard dies; empty "
-             "string disables shedding",
+             "requests when the queue saturates; empty string disables "
+             "shedding",
     )
     p_serve.add_argument(
         "--drain-timeout", type=float, default=30.0, metavar="SECONDS",
         help="how long a SIGTERM-triggered drain waits for in-flight "
-             "solves before forcing shutdown",
+             "solves before forcing shutdown (and exiting 1)",
     )
     p_serve.set_defaults(func=_cmd_serve)
 

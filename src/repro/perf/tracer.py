@@ -43,10 +43,8 @@ svc_cache_hit  the solution store answers a request without solving
 svc_warm_start a cached incumbent seeds the solver for a request
 svc_reject     admission control refuses a request (queue full / budget)
 svc_shed       a request degrades to the cheap shed-policy chain
-svc_drain      a service or dispatcher begins its graceful drain
-svc_shard_route  the dispatcher routes a fingerprint to a shard
-svc_shard_spawn  a shard worker process comes up (port, pid)
-svc_shard_exit   a shard worker exits (graceful or not)
+svc_delta      a ``/delta`` request resolves its base schedule
+svc_drain      the service begins its graceful drain
 =============  ===============================================================
 
 The ``svc_*`` events come from :mod:`repro.service` (the serving layer),
@@ -82,9 +80,6 @@ EVENT_TYPES = (
     "svc_shed",
     "svc_delta",
     "svc_drain",
-    "svc_shard_route",
-    "svc_shard_spawn",
-    "svc_shard_exit",
 )
 
 

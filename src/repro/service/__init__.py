@@ -23,21 +23,15 @@ each usable on its own:
   one fingerprint share one solve), graceful ``drain()`` and optional
   load-shedding to a cheap heuristic when the queue saturates;
 * :mod:`repro.service.server` — a stdlib-only ``http.server`` JSON API
-  (``POST /solve``, ``GET /status/<id>``, ``GET /metrics``) over a
-  :class:`SolveService`, with :mod:`repro.service.client` as the matching
-  ``urllib`` client;
-* :mod:`repro.service.shard` / :mod:`repro.service.dispatcher` — the
-  multi-process tier: ``N`` shard worker processes (each a full service
-  stack) behind a :class:`ShardedService` frontend that routes by
-  ``fingerprint % N``, sheds around dead or saturated shards, respawns
-  crashed workers from the shared append log, and drains the whole tier
-  on SIGTERM.  :func:`start_dispatcher_server` serves the same wire API
-  plus ``GET /health``.
+  (``POST /solve``, ``POST /delta``, ``GET /status/<id>``, ``GET
+  /metrics``) over a :class:`SolveService`, with
+  :mod:`repro.service.client` as the matching ``urllib`` client.
 
-CLI: ``cosched serve`` runs the single-process server, ``cosched serve
---shards N`` the sharded tier, ``cosched submit`` talks to either, and
-``cosched solve --problem-file/--save-problem`` round-trips problems
-through the codec.  See ``docs/SERVICE.md`` and ``docs/DEPLOYMENT.md``.
+CLI: ``cosched serve`` runs the server (one process; ``--workers N``
+solve threads, graceful drain on SIGTERM), ``cosched submit`` talks to
+it, and ``cosched solve --problem-file/--save-problem`` round-trips
+problems through the codec.  See ``docs/SERVICE.md`` and
+``docs/DEPLOYMENT.md``.
 """
 
 from .codec import (
@@ -59,12 +53,6 @@ from .store import SolutionStore, StoreEntry
 from .queue import RequestRejected, ServiceTicket, SolveService
 from .server import CoschedHTTPServer, start_http_server
 from .client import ServiceClient, ServiceError
-from .shard import ShardConfig, ShardHandle, shard_for
-from .dispatcher import (
-    DispatcherHTTPServer,
-    ShardedService,
-    start_dispatcher_server,
-)
 
 __all__ = [
     "CodecError",
@@ -91,10 +79,4 @@ __all__ = [
     "start_http_server",
     "ServiceClient",
     "ServiceError",
-    "shard_for",
-    "ShardConfig",
-    "ShardHandle",
-    "ShardedService",
-    "DispatcherHTTPServer",
-    "start_dispatcher_server",
 ]

@@ -7,14 +7,14 @@ a :class:`StoreBackend`.  Three implementations:
 * :class:`MemoryBackend` — nothing persists (the default);
 * :class:`AppendLogBackend` — the production backend: a JSONL **append
   log** plus an optional **snapshot** file.  Every accepted update is one
-  ``O_APPEND`` line write (atomic per line on POSIX, so *several shard
+  ``O_APPEND`` line write (atomic per line on POSIX, so *several
   processes can share one log file*); :meth:`~AppendLogBackend.replay`
   reads the snapshot first, then the log, tolerating a truncated final
   line (the signature of a crash mid-append); :meth:`~AppendLogBackend.compact`
   monotone-merges the caller's entries with everything durably in the log,
   writes the merge to a fresh snapshot (temp file, fsync, atomic rename),
   and truncates the log *only if no new bytes landed since it was read* —
-  a concurrent appender (another shard mid-solve) just leaves the log in
+  a concurrent appender (another process mid-solve) just leaves the log in
   place, where the next replay or compaction folds it in.  Compaction is
   therefore safe to run against live appenders; the drain/restart runbook
   in ``docs/DEPLOYMENT.md`` stays the recommended time to do it because a
@@ -23,11 +23,9 @@ a :class:`StoreBackend`.  Three implementations:
   an ``AppendLogBackend`` whose log *is* that path (snapshot at
   ``<path>.snap``), so existing stores replay unchanged.
 
-Because the sharded tier routes each fingerprint to exactly one shard
-(``shard = fingerprint % N``), shards sharing a log never race on the
-same key: each shard replays the whole log at startup but only ever
-appends entries for its own fingerprints.  The monotone merge in the
-store makes replay idempotent and order-insensitive across shards.
+The monotone merge in the store makes replay idempotent and
+order-insensitive, so writers sharing a log may even record the same key:
+the best entry wins however their lines interleave.
 """
 
 from __future__ import annotations
@@ -142,7 +140,7 @@ class AppendLogBackend(StoreBackend):
     path:
         The append-log file.  Created on first append; every accepted
         update is one JSONL line written through an ``O_APPEND`` file
-        descriptor, so concurrent appends from multiple shard processes
+        descriptor, so concurrent appends from several processes
         interleave whole lines.
     snapshot_path:
         Where :meth:`compact` writes the folded state (default

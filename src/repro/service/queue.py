@@ -21,12 +21,12 @@ long-lived request pipeline:
    result back into the store, and resolves the request plus every
    coalesced follower.
 
-Two service-tier behaviors ride on the same pipeline: with a
+Two service behaviors ride on the same pipeline: with a
 ``shed_policy`` armed, a submission that would be rejected ``queue_full``
 is instead **shed** — answered synchronously by a cheap registry
 heuristic, marked ``shed=True`` (``svc_shed``) — and :meth:`SolveService.drain`
-implements the graceful-shutdown contract shared with the sharded tier
-(``svc_drain``): stop admitting (reason ``"draining"``), finish every
+implements the graceful-shutdown contract that ``cosched serve`` runs on
+SIGTERM (``svc_drain``): stop admitting (reason ``"draining"``), finish every
 admitted ticket, then :meth:`~SolveService.stop`.
 
 Lower ``priority`` numbers are served first (0 = interactive, larger =
@@ -343,9 +343,7 @@ class SolveService:
         """Graceful shutdown, phase one: **stop admitting, finish everything
         accepted**.
 
-        This is the one drain contract shared by the single-process
-        service, the shard workers (SIGTERM triggers it) and the
-        dispatcher (which drains every shard): from the moment ``drain``
+        ``cosched serve`` calls it on SIGTERM: from the moment ``drain``
         is called, new submissions are rejected with reason
         ``"draining"`` (HTTP 503 + ``Retry-After``), while every ticket
         already admitted — queued, running, and their coalesced

@@ -40,11 +40,6 @@ Built on :class:`http.server.ThreadingHTTPServer` — no dependencies
 beyond the standard library.  :func:`start_http_server` binds (port 0
 picks an ephemeral port), serves on a daemon thread, and returns the
 server; call ``shutdown()`` when done.
-
-The sharded tier's :class:`~repro.service.dispatcher.DispatcherHTTPServer`
-subclasses :class:`CoschedHTTPServer`, so both tiers share this module's
-one request handler: body reading, document validation, the error →
-status map and the 200/202 rule live here once.
 """
 
 from __future__ import annotations
@@ -54,9 +49,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 
-from ..core.problem import CoSchedulingProblem
 from ..solvers import Budget
-from .client import ServiceError
 from .codec import CodecError, problem_from_dict
 from .queue import RequestRejected, SolveService
 
@@ -66,8 +59,6 @@ __all__ = ["CoschedHTTPServer", "start_http_server"]
 #: admission refusal but ``draining`` is load (429).
 _SPEC_REASONS = ("unknown_solver", "bad_spec", "bad_param",
                  "unsupported_scenario")
-#: ``/status/<id>`` documents that carry these errors are not tickets.
-_STATUS_ERRORS = {"not_found": 404, "shard_down": 503}
 
 
 def _budget_from_dict(d) -> Optional[Budget]:
@@ -92,10 +83,8 @@ def _budget_from_dict(d) -> Optional[Budget]:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """The HTTP edge of both tiers: parses and validates every request,
-    maps errors to statuses, and leaves to its server how a request
-    becomes a ticket document (:meth:`CoschedHTTPServer.submit`) and how
-    ``/status/<id>`` resolves."""
+    """The HTTP edge: parses and validates every request, hands it to the
+    server's :class:`SolveService`, and maps errors to statuses."""
 
     server: "CoschedHTTPServer"
     protocol_version = "HTTP/1.1"
@@ -141,14 +130,18 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:  # noqa: N802 — http.server API
         if self.path.startswith("/status/"):
-            doc = self.server.status(self.path[len("/status/"):])
-            self._reply(_STATUS_ERRORS.get(doc.get("error"), 200), doc)
+            ticket_id = self.path[len("/status/"):]
+            ticket = self.server.service.ticket(ticket_id)
+            if ticket is None:
+                self._reply(404, {"error": "not_found",
+                                  "detail": f"no ticket {ticket_id!r}"})
+                return
+            self._reply(200, ticket.to_dict())
             return
-        route = self.server.routes.get(self.path)
-        if route is None:
+        if self.path != "/metrics":
             self._no_route()
             return
-        self._reply(200, route())
+        self._reply(200, self.server.service.metrics())
 
     def do_POST(self) -> None:  # noqa: N802 — http.server API
         if self.path not in ("/solve", "/delta"):
@@ -172,9 +165,13 @@ class _Handler(BaseHTTPRequestHandler):
         except (KeyError, TypeError, ValueError, CodecError) as exc:
             self._reply(400, {"error": "bad_request", "detail": str(exc)})
             return
+        service = self.server.service
         try:
-            ticket = self.server.submit(base_problem, problem, wait,
-                                        **request)
+            if base_problem is None:
+                ticket = service.submit(problem, **request)
+            else:
+                ticket = service.submit_delta(base_problem, problem,
+                                              **request)
         except RequestRejected as exc:
             if exc.reason == "draining":
                 # Graceful drain: tell clients when to come back rather
@@ -185,65 +182,31 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(400 if exc.reason in _SPEC_REASONS else 429,
                         exc.to_dict())
             return
-        except ServiceError as exc:  # a shard's own answer, relayed
-            self._reply(exc.status, exc.payload)
-            return
-        self._reply(200 if ticket["state"] in ("done", "failed") else 202,
-                    ticket)
+        if wait > 0:
+            ticket.wait(wait)
+        doc = ticket.to_dict()
+        self._reply(200 if doc["state"] in ("done", "failed") else 202, doc)
 
 
 class CoschedHTTPServer(ThreadingHTTPServer):
-    """A :class:`ThreadingHTTPServer` bound to one :class:`SolveService`.
-
-    ``retry_after`` is the ``Retry-After`` value (seconds) sent with 503
-    responses while the service drains — how long a well-behaved client
-    should wait before retrying against the restarted instance.
-    ``routes`` maps the GET paths besides ``/status/<id>`` to the
-    callables that answer them.
-    """
+    """A :class:`ThreadingHTTPServer` bound to one :class:`SolveService`."""
 
     daemon_threads = True
+    #: ``Retry-After`` seconds sent with 503 responses while the service
+    #: drains: how long a well-behaved client should wait before retrying
+    #: against the restarted instance.
+    retry_after = 2
 
-    def __init__(self, address: Tuple[str, int], service,
-                 verbose: bool = False, retry_after: int = 2):
+    def __init__(self, address: Tuple[str, int], service: SolveService,
+                 verbose: bool = False):
         super().__init__(address, _Handler)
         self.service = service
         self.verbose = verbose
-        self.retry_after = retry_after
-        self.routes = {"/metrics": service.metrics}
 
     @property
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
-
-    def submit(self, base_problem: Optional[CoSchedulingProblem],
-               problem: CoSchedulingProblem, wait: float,
-               **request) -> dict:
-        """One validated ``/solve`` (``base_problem`` is ``None``) or
-        ``/delta`` request → the ticket document, after up to ``wait``
-        seconds for it to resolve."""
-        if base_problem is None:
-            ticket = self.service.submit(problem, **request)
-        else:
-            ticket = self.service.submit_delta(base_problem, problem,
-                                               **request)
-        if wait > 0:
-            ticket.wait(wait)
-        return ticket.to_dict()
-
-    def status(self, ticket_id: str) -> dict:
-        ticket = self.service.ticket(ticket_id)
-        if ticket is None:
-            return {"error": "not_found",
-                    "detail": f"no ticket {ticket_id!r}"}
-        return ticket.to_dict()
-
-    def serve_in_background(self, name: str) -> "CoschedHTTPServer":
-        """Serve on a daemon thread named ``name``; returns ``self``."""
-        threading.Thread(target=self.serve_forever, name=name,
-                         daemon=True).start()
-        return self
 
 
 def start_http_server(
@@ -261,4 +224,6 @@ def start_http_server(
     """
     service.start()
     server = CoschedHTTPServer((host, port), service, verbose=verbose)
-    return server.serve_in_background("cosched-http")
+    threading.Thread(target=server.serve_forever, name="cosched-http",
+                     daemon=True).start()
+    return server

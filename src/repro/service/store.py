@@ -19,9 +19,7 @@ delegated to a :class:`~repro.service.backends.StoreBackend`: existing
 entries are replayed through the monotone merge on construction, and every
 accepted update is appended.  ``path=`` remains as the convenience spelling
 for an :class:`~repro.service.backends.AppendLogBackend` at that path, so a
-restarted service keeps its memo — including across the shard processes of
-the multi-process tier, which share one append log (each fingerprint
-belongs to exactly one shard, so shards never race on a key).
+restarted service keeps its memo.
 
 ``record()`` is monotone: an update is accepted only if the fingerprint is
 new, the new objective is strictly better, or the new entry proves

@@ -64,6 +64,11 @@ class TestTracerUnit:
         with pytest.raises(ValueError, match="line 2"):
             list(read_trace(str(path)))
 
+    def test_schema_is_one_process_service(self):
+        # The service is one process: no routing, spawn or exit events.
+        assert not [ev for ev in EVENT_TYPES if ev.startswith("svc_shard")]
+        assert {"svc_delta", "svc_drain", "svc_shed"} <= set(EVENT_TYPES)
+
     def test_trace_to_list(self, tmp_path):
         path = tmp_path / "t.jsonl"
         with Tracer(str(path)) as tracer:

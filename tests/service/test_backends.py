@@ -98,7 +98,7 @@ def test_compact_merge_is_monotone(tmp_path):
 
 def test_append_racing_compaction_survives(tmp_path, monkeypatch):
     """An append landing between compaction's log read and its truncate
-    check (another shard process mid-solve) must survive replay."""
+    check (another process mid-solve) must survive replay."""
     path = str(tmp_path / "memo.jsonl")
     a = AppendLogBackend(path)
     b = AppendLogBackend(path)
@@ -223,7 +223,7 @@ def test_snapshot_corruption_is_fatal_even_at_tail(tmp_path):
 
 
 def test_interleaved_writers_share_one_log(tmp_path):
-    """Two backends on one path (stand-in for two shard processes)."""
+    """Two backends on one path (stand-in for two writer processes)."""
     path = str(tmp_path / "memo.jsonl")
     a = AppendLogBackend(path)
     b = AppendLogBackend(path)

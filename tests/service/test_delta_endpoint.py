@@ -1,5 +1,5 @@
-"""The incremental ``/delta`` path: SolveService.submit_delta, the HTTP
-route, and base-fingerprint routing through the sharded dispatcher."""
+"""The incremental ``/delta`` path: SolveService.submit_delta and the
+HTTP route."""
 
 import threading
 
@@ -116,20 +116,3 @@ def test_http_delta_rejects_bad_solver(http_service):
     with pytest.raises(ServiceError) as exc:
         client.delta(base, new, solver="not-a-solver")
     assert exc.value.status == 400
-
-
-def test_sharded_delta_routes_by_base_fingerprint():
-    from repro.service import ShardedService
-    from repro.service.shard import shard_for
-
-    base, new = _base_and_perturbed()
-    base_fp = problem_fingerprint(base)
-    with ShardedService(shards=2, default_solver="pg") as svc:
-        svc.submit(base, wait=60.0)
-        doc = svc.submit_delta(base, new, wait=60.0)
-        assert doc["state"] == "done"
-        assert doc["base_hit"] is True
-        # Namespaced ticket id pins the shard the base fingerprint owns.
-        expected = shard_for(base_fp, 2)
-        assert doc["shard"] == expected
-        assert doc["id"].startswith(f"s{expected}-")

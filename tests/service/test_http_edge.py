@@ -1,20 +1,13 @@
-"""Both tiers share one HTTP edge: the same request gets the same status
-and error on a single-process server and on a 1-shard sharded tier, and
-a dead shard hit by concurrent requests is replaced exactly once."""
+"""The HTTP edge's error map: each malformed or refused request gets its
+status, ``error`` and ``reason``, and leaves a kept-alive connection
+usable."""
 
 import http.client
 import json
-import multiprocessing
-import threading
 
 import pytest
 
-from repro.service import (
-    ShardedService,
-    SolveService,
-    start_dispatcher_server,
-    start_http_server,
-)
+from repro.service import SolveService, start_http_server
 from repro.service.codec import problem_to_dict
 from repro.workloads.synthetic import random_serial_instance
 
@@ -70,80 +63,36 @@ def _exchange(url, method, path, body):
         conn.close()
 
 
-def _start_tiers():
+def _start():
     service = SolveService(workers=1, default_solver="pg")
-    sharded = ShardedService(shards=1, default_solver="pg")
-    return {"single": (start_http_server(service), service),
-            "sharded": (start_dispatcher_server(sharded), sharded)}
+    return start_http_server(service), service
 
 
-def _stop_tiers(tiers):
-    for server, service in tiers.values():
-        server.shutdown()
-        server.server_close()
-        service.stop()
+def _stop(server, service):
+    server.shutdown()
+    server.server_close()
+    service.stop()
 
 
 @pytest.fixture(scope="module")
-def tiers():
-    tiers = _start_tiers()
-    yield tiers
-    _stop_tiers(tiers)
+def served():
+    server, service = _start()
+    yield server
+    _stop(server, service)
 
 
 @pytest.mark.parametrize("row", ROWS, ids=[r[0] for r in ROWS])
-def test_both_tiers_answer_alike(tiers, row):
+def test_edge_answers(served, row):
     _, method, path, body, status, error, reason = row
-    got = {name: _exchange(server.url, method, path, body)
-           for name, (server, _) in tiers.items()}
-    assert got["single"] == got["sharded"] == (status, error, reason,
-                                               False)
-    # A request the edge refuses never reaches (or "kills") a shard.
-    dispatcher = tiers["sharded"][1].metrics()["dispatcher"]
-    assert dispatcher["forward_errors"] == 0
-    assert dispatcher["shed"] == 0
+    assert _exchange(served.url, method, path, body) == (status, error,
+                                                         reason, False)
 
 
-def test_draining_tiers_answer_503_with_retry_after():
-    tiers = _start_tiers()
+def test_draining_server_answers_503_with_retry_after():
+    server, service = _start()
     try:
-        for _, service in tiers.values():
-            assert service.drain(timeout=30.0) is True
-        got = {name: _exchange(server.url, "POST", "/solve", _doc())
-               for name, (server, _) in tiers.items()}
-        assert got["single"] == got["sharded"] == (503, "rejected",
-                                                   "draining", True)
+        assert service.drain(timeout=30.0) is True
+        assert _exchange(server.url, "POST", "/solve", _doc()) == (
+            503, "rejected", "draining", True)
     finally:
-        _stop_tiers(tiers)
-
-
-def _live_shards():
-    return {p.pid for p in multiprocessing.active_children()
-            if p.name.startswith("cosched-shard-")}
-
-
-def test_concurrent_failures_on_a_dead_shard_respawn_it_once():
-    before = _live_shards()  # other tests' tiers may still be up
-    svc = ShardedService(shards=1, default_solver="pg")
-    try:
-        svc.handles[0].kill()
-        problem = random_serial_instance(6, seed=3)
-        barrier = threading.Barrier(4)
-        docs = []
-
-        def client():
-            barrier.wait()
-            docs.append(svc.submit(problem, wait=30.0))
-
-        threads = [threading.Thread(target=client) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(60.0)
-        assert len(docs) == 4
-        assert all(d["state"] == "done" for d in docs)
-        assert svc.metrics()["dispatcher"]["respawns"] == 1
-        assert len(_live_shards() - before) == 1
-    finally:
-        svc.stop()
-    assert not _live_shards() - before
+        _stop(server, service)

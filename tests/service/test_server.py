@@ -241,3 +241,14 @@ def test_keepalive_replies_do_not_wait_on_delayed_acks(service_and_url):
         assert time.perf_counter() - t0 < 0.2
     finally:
         conn.close()
+
+
+def test_package_exports_one_server():
+    import repro.service as service
+
+    for gone in ("ShardedService", "start_dispatcher_server",
+                 "DispatcherHTTPServer", "shard_for"):
+        assert gone not in service.__all__
+        assert not hasattr(service, gone)
+    assert {"SolveService", "CoschedHTTPServer",
+            "start_http_server"} <= set(service.__all__)

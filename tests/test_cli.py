@@ -1,5 +1,8 @@
 """CLI tests."""
 
+import os
+import signal
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -22,6 +25,13 @@ class TestParsing:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_serve_has_no_shards_flag(self, capsys):
+        # The service is one process; --workers is its only pool.
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(["serve", "--shards", "2"])
+        assert err.value.code == 2
+        assert "--shards" in capsys.readouterr().err
 
 
 class TestSolve:
@@ -220,3 +230,36 @@ class TestProfileSurvivesFailure:
                   "BT", "CG", "EP", "FT"])
         # The finally flushed and closed the tracer: the event is on disk.
         assert '"ev":"solve_start"' in trace.read_text()
+
+
+class TestServe:
+    @pytest.mark.parametrize("graceful, code", [(True, 0), (False, 1)])
+    def test_sigterm_exit_code_reports_the_drain(self, monkeypatch, capsys,
+                                                 graceful, code):
+        import repro.service as service
+        from repro.service.queue import SolveService
+
+        drains = []
+
+        def drain(self, timeout=30.0):
+            drains.append(timeout)
+            return graceful
+
+        def start_then_sigterm(*args, **kwargs):
+            # serve installs its SIGTERM handler before it starts serving.
+            server = real_start(*args, **kwargs)
+            os.kill(os.getpid(), signal.SIGTERM)
+            return server
+
+        real_start = service.start_http_server
+        monkeypatch.setattr(SolveService, "drain", drain)
+        monkeypatch.setattr(service, "start_http_server", start_then_sigterm)
+        previous = signal.getsignal(signal.SIGTERM)
+        try:
+            rc = main(["serve", "--port", "0", "--solver", "pg",
+                       "--drain-timeout", "0.5"])
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert drains == [0.5]
+        assert rc == code
+        assert "draining" in capsys.readouterr().err
