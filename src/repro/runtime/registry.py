@@ -16,8 +16,7 @@ flags, HTTP request bodies and experiment configs::
     oastar                      # canonical name (or any alias)
     hastar?mer=4                # constructor params after '?'
     oastar?h_strategy=1&name=OA*(h1)
-    fallback?chain=oastar,pg    # composite solvers take solver lists
-    portfolio?members=hastar,hill
+    fallback?chain=hastar,hill  # the composite solver takes a solver list
 
 Parameters are ``key=value`` pairs separated by ``&``; values are coerced
 (int, float, ``true``/``false``, else string) and passed to the solver's
@@ -41,7 +40,6 @@ from ..solvers import (
     OAStar,
     OSVP,
     PolitenessGreedy,
-    PortfolioSolver,
     RepairSolver,
     ScipyMILP,
     SwapHillClimber,
@@ -288,7 +286,6 @@ def parse_spec(spec: str) -> SolverSpec:
 #: sub-specs, resolved recursively by :func:`create_solver`.
 _COMPOSITE_PARAMS = {
     "fallback": "chain",
-    "portfolio": "members",
 }
 
 
@@ -297,8 +294,8 @@ def create_solver(spec) -> Solver:
 
     Composite solvers resolve their member lists recursively
     (``fallback?chain=oastar,pg`` builds an OA* > PG cascade;
-    ``portfolio?members=hastar,hill`` runs HA* and the hill climber and
-    keeps the better schedule).
+    ``fallback?chain=hastar,hill`` polishes HA*'s schedule with the hill
+    climber).
     Constructor errors surface as :class:`SpecError` with reason
     ``"bad_param"`` so every caller rejects bad input the same way.
     """
@@ -426,20 +423,6 @@ register(SolverInfo(
     exact=True,  # the unbudgeted default chain ends at the exact stage
     budget_currencies=_SEARCH_CURRENCIES,
     supports_repair=True,
-))
-register(SolverInfo(
-    name="portfolio",
-    supports_heterogeneous=True,
-    supports_constraints=True,
-    aliases=(),
-    factory=PortfolioSolver,
-    summary="run several member solvers, keep the best schedule "
-            "(members=... picks them; default hastar,pg)",
-    exact=False,
-    # Sequential members split the remaining *wall clock*; node budgets are
-    # per-member (the portfolio itself never charges), so only wall_time is
-    # honored portfolio-wide.
-    budget_currencies=("wall_time",),
 ))
 register(SolverInfo(
     name="repair",

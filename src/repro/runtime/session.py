@@ -165,9 +165,9 @@ def run_solve(
         parsed = parse_spec(spec) if isinstance(spec, str) else spec
         solver = create_solver(parsed)
         spec_str = parsed.canonical()
-    # The instance's capabilities, not the registry entry's: composite
-    # solvers (fallback?chain=..., portfolio?members=...) narrow theirs to
-    # the member intersection, which can be stricter than the entry.
+    # The instance's capabilities, not the registry entry's: the composite
+    # solver (fallback?chain=...) narrows its own to the member
+    # intersection, which can be stricter than the entry.
     declared = getattr(solver, "scenario_capabilities", frozenset())
     missing = problem.required_capabilities() - declared
     if missing:

@@ -15,12 +15,13 @@ validated, once, against the registry's capability annotations:
   shedding into load amplification, so the registry's exactness flag is
   the gate.
 
-A resolved :class:`ShedPolicy` is an ordered chain: :meth:`ShedPolicy.solve`
-runs the first spec that produces a schedule (each attempt through
-:func:`repro.runtime.run_solve`, so the objective is cross-checked by the
-evaluator and reported honestly) and falls through to the next on
-failure.  The default policy is ``"pg"`` — the paper's politeness greedy,
-O(n log n)-ish and budget-free — with ``"pg,hill"`` a common refinement.
+A resolved :class:`ShedPolicy` is an ordered chain of specs, and
+:meth:`ShedPolicy.chain` builds it as one
+:class:`~repro.solvers.fallback.FallbackChain`: each member starts from the
+best schedule so far, and a member that raises or produces nothing hands
+over to the next.  The default policy is ``"pg"`` — the paper's politeness
+greedy, O(n log n)-ish and budget-free — and ``"pg,hill"`` polishes PG's
+schedule with the hill climber inside the shed budget.
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..core.problem import CoSchedulingProblem
-from ..solvers.budget import Budget
-from .registry import SpecError, get_info, parse_spec
-from .session import SolveReport, run_solve
+from ..solvers.fallback import FallbackChain
+from .registry import SpecError, create_solver, get_info, parse_spec
 
 __all__ = ["ShedPolicy", "resolve_shed_policy", "DEFAULT_SHED_POLICY"]
 
@@ -52,31 +51,12 @@ class ShedPolicy:
     def describe(self) -> str:
         return ",".join(self.specs)
 
-    def solve(
-        self,
-        problem: CoSchedulingProblem,
-        budget: Optional[Budget] = None,
-    ) -> Tuple[SolveReport, str]:
-        """Run the chain; returns ``(report, spec_used)``.
-
-        Each member runs through :func:`~repro.runtime.run_solve` (so the
-        returned objective is re-evaluated and guaranteed honest); the
-        first member that produces a schedule wins.  Raises
-        ``RuntimeError`` only if *every* member fails — a policy of
-        registry heuristics should never reach that.
-        """
-        last_error: Optional[BaseException] = None
-        for spec in self.specs:
-            try:
-                report = run_solve(problem, spec, budget=budget)
-            except Exception as exc:  # noqa: BLE001 — fall through the chain
-                last_error = exc
-                continue
-            if report.schedule is not None:
-                return report, spec
-        raise RuntimeError(
-            f"every shed solver failed ({self.describe()}): {last_error}"
-        )
+    def chain(self) -> FallbackChain:
+        """A fresh :class:`~repro.solvers.fallback.FallbackChain` of the
+        policy's members.  Build one per shed solve: solvers keep per-run
+        state, and sheds run on concurrent request threads.
+        ``stats["winner_stage"]`` of its result indexes :attr:`specs`."""
+        return FallbackChain([create_solver(spec) for spec in self.specs])
 
 
 def resolve_shed_policy(policy: Optional[str] = None) -> ShedPolicy:

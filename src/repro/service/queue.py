@@ -101,7 +101,7 @@ class ServiceTicket:
     answer lands).  ``disposition`` records how the answer was produced:
     ``"solved"``, ``"cache_hit"``, ``"coalesced"`` or ``"shed"`` (the
     saturated-queue degraded path; ``shed`` is then ``True`` and
-    ``solved_by`` names the cheap solver that actually ran).
+    ``solved_by`` names the shed chain member whose schedule won).
 
     ``pid_map`` is the submitter problem's canonical pid map
     (:func:`~repro.service.codec.canonical_pid_map`): store entries hold
@@ -252,10 +252,11 @@ class SolveService:
         Optional comma-separated chain of cheap registry solver specs
         (validated by :func:`repro.runtime.resolve_shed_policy` — exact
         solvers are refused).  When set, a submission that would be
-        rejected with ``queue_full`` is instead **shed**: the first policy
-        solver runs synchronously in the submitting thread, the ticket
-        resolves with disposition ``"shed"`` / ``shed=True``, and the
-        result still feeds the store's monotone merge.  ``None`` (the
+        rejected with ``queue_full`` is instead **shed**: the policy runs
+        as one :class:`~repro.solvers.fallback.FallbackChain` in the
+        submitting thread (``pg,hill`` polishes PG's schedule), the
+        ticket resolves with disposition ``"shed"`` / ``shed=True``, and
+        the result still feeds the store's monotone merge.  ``None`` (the
         default) keeps the hard ``queue_full`` rejection.
     shed_budget:
         Optional :class:`Budget` cap applied to every shed solve
@@ -671,19 +672,23 @@ class SolveService:
         """Resolve ``ticket`` via the shed policy; records into the store."""
         fp = ticket.fingerprint
         try:
-            report, spec_used = self._shed_policy.solve(
-                problem, budget=self.shed_budget)
+            report = run_solve(problem, self._shed_policy.chain(),
+                               budget=self.shed_budget)
+            if report.schedule is None:
+                raise RuntimeError("no shed solver produced a schedule")
         except Exception as exc:  # noqa: BLE001 — shedding must not raise
             with self._lock:
                 self._stats["errors"] += 1
                 self._stats["completed"] += 1
             ticket._fail(f"shed solve failed: {exc}")
             return
+        stats = report.result.stats
+        spec_used = self._shed_policy.specs[stats["winner_stage"]]
         canon_schedule = schedule_to_canonical(problem, report.schedule)
         self.store.record(fp, canon_schedule, report.objective,
-                          report.solver, report.optimal)
+                          stats["winner"], report.optimal)
         entry = StoreEntry(fp, canon_schedule, report.objective,
-                           report.solver, report.optimal)
+                           stats["winner"], report.optimal)
         ticket.shed = True
         ticket._resolve(entry, "shed", time_seconds=report.solve_seconds)
         with self._lock:

@@ -13,7 +13,6 @@ from .ip_scipy import ScipyMILP
 from .local_search import SwapHillClimber
 from .oastar import OAStar
 from .osvp import OSVP
-from .portfolio import PortfolioSolver
 from .repair import RepairSolver
 from .simplex import LPResult, simplex_solve
 
@@ -38,7 +37,6 @@ __all__ = [
     "SwapHillClimber",
     "OAStar",
     "OSVP",
-    "PortfolioSolver",
     "RepairSolver",
     "LPResult",
     "simplex_solve",

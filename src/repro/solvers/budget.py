@@ -19,8 +19,8 @@ inner loop polls :meth:`BudgetState.exhausted` and, when a limit trips,
 returns its best valid schedule so far (A* greedily completes the most
 promising partial path, branch-and-bound returns the incumbent, local search
 returns the best visited).  ``SolveResult.stats["budget"]`` records why the
-run stopped; :class:`~repro.solvers.fallback.FallbackChain` uses the same
-signal to cascade to a cheaper solver.
+run stopped; :class:`~repro.solvers.fallback.FallbackChain` records the
+same signal as the reason a stage handed over to the next.
 """
 
 from __future__ import annotations
@@ -135,9 +135,8 @@ class BudgetState:
 
     def remaining(self) -> Budget:
         """A fresh :class:`Budget` with whatever is left — how
-        :class:`~repro.solvers.fallback.FallbackChain` and
-        :class:`~repro.solvers.portfolio.PortfolioSolver` hand the unused slice to
-        the next solver.  Exhausted currencies clamp to zero."""
+        :class:`~repro.solvers.fallback.FallbackChain` hands the unused
+        slice to its next stage.  Exhausted currencies clamp to zero."""
         b = self.budget
         wall = None if b.wall_time is None else max(0.0, b.wall_time - self.elapsed())
         nodes = (

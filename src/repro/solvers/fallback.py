@@ -1,4 +1,4 @@
-"""Fallback chains: exact first, degrade gracefully under a deadline.
+"""Fallback chains: the one way to run several solvers under one budget.
 
 The production pattern the co-scheduling literature converges on (Aupy et
 al.; Papp et al.): wrap the exact method in a time-bounded anytime harness
@@ -7,19 +7,29 @@ and fall back to progressively cheaper solvers when it cannot finish.
 
     OA* (exact)  →  HA* (MER-trimmed)  →  PG (greedy)
 
-Each stage runs with whatever slice of the chain's budget remains (wall
-time keeps ticking across stages; expansion charges accumulate through the
-stage results).  A stage that *completes* inside the budget ends the chain;
-a stage that is budget-stopped contributes its best-so-far schedule as a
-candidate and hands over.  The chain returns the best candidate seen, so a
-deadline can only ever improve on the last resort's answer.  The final
-stage should be cheap enough to always finish (PG ignores budgets), which
-makes the chain total: some valid schedule always comes back.
+One rule covers every stage:
+
+* each stage starts from the best schedule so far (warm start) and runs
+  with whatever slice of the chain's budget remains (wall time keeps
+  ticking across stages; expansion charges accumulate through the stage
+  results);
+* the chain stops early only after a stage returns a proven optimum
+  (``optimal=True``) — nothing can beat it.  Every other stage, finished
+  or budget-stopped, hands over to the next, which can only refine;
+* a stage that raises or returns no schedule also hands over; its
+  ``stats["stages"]`` entry and its ``fallback`` trace event say why.
+
+The chain returns the best schedule seen, so a deadline can only ever
+improve on the last resort's answer.  If no stage produces a schedule the
+last stage error is re-raised (or, when none raised, an empty result is
+returned).  The same chain serves ``fallback?chain=hastar,hill`` (a
+polish) and the service's shed policy (``--shed-solver pg,hill``).
 """
 
 from __future__ import annotations
 
 import math
+import time
 from typing import List, Optional, Sequence
 
 from ..core.problem import CoSchedulingProblem
@@ -37,7 +47,7 @@ _WORK_KEYS = ("expanded", "bb_nodes", "partitions_examined", "evaluations")
 
 
 class FallbackChain(Solver):
-    """Run ``members`` in order, cascading on budget exhaustion.
+    """Run ``members`` in order, each warm-started from the best so far.
 
     Parameters
     ----------
@@ -71,44 +81,58 @@ class FallbackChain(Solver):
     def _solve(self, problem: CoSchedulingProblem) -> SolveResult:
         budget = self._active_budget()
         tracer = problem.counters.tracer
-        candidates: List[SolveResult] = []
+        best: Optional[SolveResult] = None
+        winner_stage: Optional[int] = None
+        last_error: Optional[Exception] = None
         stages: List[dict] = []
         incumbent = self._warm_schedule  # chain's own warm start, if any
         for idx, member in enumerate(self.members):
-            sub = member.solve(problem, budget=budget.remaining(),
-                               initial_schedule=incumbent)
-            if sub.schedule is not None:
-                # Later (cheaper) stages inherit the best schedule so far,
-                # so a fallback can only refine, never regress.
-                incumbent = sub.schedule
-            for key in _WORK_KEYS:
-                work = sub.stats.get(key)
-                if isinstance(work, (int, float)) and work > 0:
-                    budget.charge(int(work))
-                    break
-            stages.append({
-                "solver": member.name,
-                "objective": (
-                    None if math.isinf(sub.objective) else sub.objective
-                ),
-                "stopped": sub.budget_stopped,
-                "time_seconds": sub.time_seconds,
-            })
-            if sub.schedule is not None:
-                candidates.append(sub)
-            if sub.schedule is not None and sub.budget_stopped is None:
-                break  # finished inside the budget — no fallback needed
-            if idx + 1 < len(self.members):
-                reason = sub.budget_stopped or "no_schedule"
-                if tracer is not None:
-                    tracer.emit(
-                        "fallback", solver=self.name,
-                        from_solver=member.name,
-                        to_solver=self.members[idx + 1].name,
-                        reason=reason,
-                    )
+            stage = {"solver": member.name, "objective": None,
+                     "optimal": False, "stopped": None}
+            stages.append(stage)
+            t0 = time.perf_counter()
+            try:
+                sub = member.solve(
+                    problem,
+                    budget=budget.remaining() if budget.limited else None,
+                    initial_schedule=incumbent,
+                )
+            except Exception as exc:  # noqa: BLE001 — hand over, re-raise last
+                last_error, sub = exc, None
+                stage["error"] = f"{type(exc).__name__}: {exc}"
+            stage["time_seconds"] = time.perf_counter() - t0
+            if sub is None:
+                reason = "error"
+            else:
+                for key in _WORK_KEYS:
+                    work = sub.stats.get(key)
+                    if isinstance(work, (int, float)) and work > 0:
+                        budget.charge(int(work))
+                        break
+                stage["stopped"] = sub.budget_stopped
+                if sub.schedule is not None:
+                    stage.update(objective=sub.objective, optimal=sub.optimal)
+                    if (best is None or sub.objective < best.objective
+                            or (sub.optimal and not best.optimal)):
+                        # Ties keep the earlier stage: a warm-started stage
+                        # that only returned its incumbent did not make it.
+                        best, winner_stage = sub, idx
+                        incumbent = sub.schedule
+                    if sub.optimal:
+                        break  # a proven optimum: nothing can beat it
+                reason = sub.budget_stopped or (
+                    "no_schedule" if sub.schedule is None else "not_optimal")
+            if idx + 1 < len(self.members) and tracer is not None:
+                tracer.emit(
+                    "fallback", solver=self.name,
+                    from_solver=member.name,
+                    to_solver=self.members[idx + 1].name,
+                    reason=reason,
+                )
         budget.exhausted()  # record the sticky stop reason for the summary
-        if not candidates:
+        if best is None:
+            if last_error is not None:
+                raise last_error
             return SolveResult(
                 solver=self.name,
                 schedule=None,
@@ -116,12 +140,12 @@ class FallbackChain(Solver):
                 time_seconds=0.0,
                 stats={"stages": stages},
             )
-        best = min(candidates, key=lambda r: r.objective)
         return SolveResult(
             solver=self.name,
             schedule=best.schedule,
             objective=best.objective,
             time_seconds=0.0,
             optimal=best.optimal,
-            stats={"winner": best.solver, "stages": stages},
+            stats={"winner": best.solver, "winner_stage": winner_stage,
+                   "stages": stages},
         )

@@ -32,7 +32,7 @@ def _perturbed_pair(n=16, seed=3):
 
 def test_repair_requires_capable_base():
     with pytest.raises(SpecError) as exc:
-        create_solver("repair?base=portfolio")
+        create_solver("repair?base=ip")
     assert exc.value.reason == "repair_base"
 
 

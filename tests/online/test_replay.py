@@ -90,7 +90,7 @@ def test_session_repair_before_solve_falls_back():
 
 def test_session_requires_capable_base():
     with pytest.raises(SpecError) as exc:
-        ProblemSession(base="portfolio")
+        ProblemSession(base="ip")
     assert exc.value.reason == "repair_base"
 
 

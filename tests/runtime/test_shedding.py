@@ -8,8 +8,10 @@ from repro.runtime import (
     ShedPolicy,
     SpecError,
     resolve_shed_policy,
+    run_solve,
 )
-from repro.solvers import Budget
+from repro.runtime.registry import REGISTRY, _replace_factory
+from repro.solvers import Budget, PolitenessGreedy
 from repro.workloads.synthetic import random_serial_instance
 
 
@@ -58,8 +60,9 @@ def test_empty_policy_falls_back_to_default():
 def test_solve_returns_valid_schedule_and_honest_objective():
     problem = random_serial_instance(8, seed=3)
     policy = resolve_shed_policy("pg")
-    report, used = policy.solve(problem, budget=Budget(wall_time=5.0))
-    assert used == "pg"
+    report = run_solve(problem, policy.chain(), budget=Budget(wall_time=5.0))
+    assert policy.specs[report.result.stats["winner_stage"]] == "pg"
+    assert report.result.stats["winner"] == "PG"
     assert report.schedule is not None
     # The objective must match an independent evaluation — a shed answer
     # is degraded in *quality*, never in honesty.
@@ -67,10 +70,45 @@ def test_solve_returns_valid_schedule_and_honest_objective():
         evaluate_schedule(problem, report.schedule).objective)
 
 
-def test_chain_falls_through_to_next_solver():
-    problem = random_serial_instance(8, seed=4)
+def test_pg_hill_polishes_below_pg():
+    # PG always returns a schedule; the hill stage must still run, warm
+    # started from PG's answer, and improve on it here.
+    problem = random_serial_instance(32, "quad", seed=5, saturation=4.0)
+    pg = run_solve(problem, "pg")
+    policy = resolve_shed_policy("pg,hill")
+    report = run_solve(problem, policy.chain(),
+                       budget=Budget(wall_time=60.0))
+    stats = report.result.stats
+    assert [s["solver"] for s in stats["stages"]] == [
+        "PG", stats["winner"]]
+    assert policy.specs[stats["winner_stage"]] == "hill"
+    assert report.objective < pg.objective - 1e-6
 
-    policy = ShedPolicy(specs=("hill", "pg"))
-    report, used = policy.solve(problem)
-    assert used in ("hill", "pg")
+
+class _Boom(PolitenessGreedy):
+    name = "boom"
+
+    def _solve(self, problem):
+        raise RuntimeError("stage exploded")
+
+
+def test_chain_falls_through_a_raising_member(monkeypatch):
+    monkeypatch.setitem(REGISTRY, "hill",
+                        _replace_factory("hill", lambda **_: _Boom()))
+    problem = random_serial_instance(8, seed=4)
+    policy = resolve_shed_policy("hill,pg")
+    report = run_solve(problem, policy.chain())
+    stats = report.result.stats
     assert report.schedule is not None
+    assert policy.specs[stats["winner_stage"]] == "pg"
+    failed = stats["stages"][0]
+    assert failed["solver"] == "boom" and failed["objective"] is None
+    assert "stage exploded" in failed["error"]
+
+
+def test_chain_is_fresh_per_call():
+    # Solvers keep per-run state, so concurrent sheds need their own.
+    policy = resolve_shed_policy("pg,hill")
+    first, second = policy.chain(), policy.chain()
+    assert first is not second
+    assert all(a is not b for a, b in zip(first.members, second.members))

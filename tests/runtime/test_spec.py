@@ -85,13 +85,13 @@ class TestErrors:
         with pytest.raises(SpecError) as exc:
             create_solver("hastar?no_such_kwarg=1")
         assert exc.value.reason == "bad_param"
-        # The portfolio has no fan-out knob; workers= is an unknown kwarg.
+        # The chain has no fan-out knob; workers= is an unknown kwarg.
         with pytest.raises(SpecError) as exc:
-            create_solver("portfolio?workers=2")
+            create_solver("fallback?workers=2")
         assert exc.value.reason == "bad_param"
 
     @pytest.mark.parametrize("name", ["genetic", "split", "anneal",
-                                      "annealing", "sa"])
+                                      "annealing", "sa", "portfolio"])
     def test_removed_solvers_are_unknown(self, name, capsys):
         with pytest.raises(SpecError) as exc:
             create_solver(name)
@@ -116,7 +116,7 @@ class TestErrors:
 
     def test_unknown_member_in_composite(self):
         with pytest.raises(SpecError) as exc:
-            create_solver("portfolio?members=hastar,nope")
+            create_solver("fallback?chain=hastar,nope")
         assert exc.value.reason == "unknown_solver"
 
 
@@ -128,9 +128,9 @@ class TestCreate:
             "PolitenessGreedy",
         ]
 
-    def test_composite_portfolio(self):
-        pf = create_solver("portfolio?members=hastar,hill")
-        assert [type(m).__name__ for m in pf.members] == [
+    def test_composite_polish_chain(self):
+        chain = create_solver("fallback?chain=hastar,hill")
+        assert [type(m).__name__ for m in chain.members] == [
             "HAStar",
             "SwapHillClimber",
         ]

@@ -14,7 +14,7 @@ from repro.perf import Tracer
 from repro.perf.tracer import trace_to_list
 from repro.runtime.registry import REGISTRY, _replace_factory
 from repro.service import RequestRejected, SolutionStore, SolveService
-from repro.solvers import Budget
+from repro.solvers import Budget, PolitenessGreedy
 from repro.workloads.synthetic import random_serial_instance
 
 
@@ -388,6 +388,8 @@ def test_queue_full_sheds_when_policy_armed():
     problem = make_problem(51)
     ev = evaluate_schedule(problem, shed.schedule)
     assert shed.objective == pytest.approx(ev.objective)
+    assert shed.solved_by == "PG"
+    assert svc.store.lookup(shed.fingerprint).solver == "PG"
     # ... and it was recorded, so the next request is a cache hit.
     svc.start()
     assert first.wait(30.0)
@@ -421,6 +423,59 @@ def test_shed_emits_trace_event():
     assert len(events) == 1
     assert events[0]["policy"] == "pg"
     assert events[0]["used"] == "pg"
+
+
+def _shed_one(policy, problem, tracer=None):
+    """Overflow a one-slot queue so ``problem`` is shed under ``policy``."""
+    svc = SolveService(workers=1, max_queue=1, default_solver="pg",
+                       shed_policy=policy, shed_budget=Budget(wall_time=60.0),
+                       tracer=tracer)
+    svc.submit(make_problem(80))
+    try:
+        return svc.submit(problem)
+    finally:
+        svc.stop()
+
+
+def test_pg_hill_shed_polishes_below_pg():
+    sink = io.StringIO()
+    problem = random_serial_instance(32, "quad", seed=5, saturation=4.0)
+    pg = evaluate_schedule(
+        problem, PolitenessGreedy().solve(problem).schedule).objective
+    shed = _shed_one("pg,hill", problem, Tracer(sink, flush_every=1))
+    assert shed.disposition == "shed"
+    assert shed.objective < pg - 1e-6
+    assert shed.solved_by.startswith("hill")
+    events = [e for e in trace_to_list(io.StringIO(sink.getvalue()))
+              if e["ev"] == "svc_shed"]
+    assert events[0]["policy"] == "pg,hill"
+    assert events[0]["used"] == "hill"
+
+
+def test_shed_falls_through_a_raising_member(monkeypatch):
+    class Boom(PolitenessGreedy):
+        name = "boom"
+
+        def _solve(self, problem):
+            raise RuntimeError("stage exploded")
+
+    monkeypatch.setitem(REGISTRY, "hill",
+                        _replace_factory("hill", lambda **_: Boom()))
+    sink = io.StringIO()
+    shed = _shed_one("hill,pg", make_problem(81), Tracer(sink, flush_every=1))
+    assert shed.state == "done" and shed.solved_by == "PG"
+    events = trace_to_list(io.StringIO(sink.getvalue()))
+    assert [e["used"] for e in events if e["ev"] == "svc_shed"] == ["pg"]
+
+
+def test_shed_fails_ticket_when_every_member_raises(monkeypatch):
+    def boom(**_params):
+        raise RuntimeError("solver construction exploded")
+
+    monkeypatch.setitem(REGISTRY, "pg", _replace_factory("pg", boom))
+    shed = _shed_one("pg", make_problem(82))
+    assert shed.state == "failed"
+    assert "exploded" in shed.error
 
 
 # --------------------------------------------------------------------- #

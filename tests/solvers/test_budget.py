@@ -8,11 +8,15 @@ result whose ``budget_stopped`` names the tripped limit.  Never an
 exception, and a stopped result is never marked optimal.
 """
 
+import io
 import time
 
 import pytest
 
 from repro.core.objective import evaluate_schedule
+from repro.perf import Tracer
+from repro.perf.tracer import trace_to_list
+from repro.runtime import create_solver
 from repro.solvers import (
     BranchBoundIP,
     BruteForce,
@@ -27,6 +31,7 @@ from repro.solvers import (
     SwapHillClimber,
 )
 from repro.workloads import random_serial_instance, serial_mix
+from repro.workloads.synthetic import random_interaction_instance
 
 STOP_REASONS = {"wall_time", "expanded", "weight_evals"}
 
@@ -208,6 +213,25 @@ class TestAnytimeQuality:
         assert result.objective >= 0.0
 
 
+class _BudgetRecorder(PolitenessGreedy):
+    """PG that records the wall budget each run was handed."""
+
+    def __init__(self, name):
+        self.name = name
+        self.seen = []
+
+    def _solve(self, problem):
+        self.seen.append(self._active_budget().budget.wall_time)
+        return super()._solve(problem)
+
+
+class _Raising(PolitenessGreedy):
+    name = "raising"
+
+    def _solve(self, problem):
+        raise RuntimeError("stage exploded")
+
+
 class TestFallbackChain:
     def test_cascades_in_order_and_returns_valid(self):
         problem = random_serial_instance(16, "quad", seed=3)
@@ -221,9 +245,11 @@ class TestFallbackChain:
             assert names[1].startswith("HA*")
         if len(names) > 2:
             assert names[2] == "PG"
-        # Every stage before the last was budget-stopped (why it fell back).
+        # Only a proven optimum ends the chain early: no stage before the
+        # last proved optimality.
         for s in stages[:-1]:
-            assert s["stopped"] is not None
+            assert not s["optimal"]
+        assert len(stages) == 3 or stages[-1]["optimal"]
 
     def test_unbudgeted_chain_stops_at_first_member(self):
         problem = small_problem()
@@ -232,6 +258,84 @@ class TestFallbackChain:
         assert [s["solver"] for s in result.stats["stages"]] == [
             result.stats["winner"]
         ]
+        problem.clear_caches()
+        assert result.objective == pytest.approx(
+            OAStar().solve(problem).objective, abs=1e-9)
+
+    def test_best_stage_wins(self):
+        problem = random_interaction_instance(12, cluster="quad", seed=7)
+        result = FallbackChain([HAStar(), PolitenessGreedy()]).solve(problem)
+        stages = result.stats["stages"]
+        assert result.objective == min(s["objective"] for s in stages)
+        assert result.stats["winner"] in [s["solver"] for s in stages]
+
+    def test_no_worse_than_any_stage(self):
+        problem = random_interaction_instance(12, cluster="quad", seed=8)
+        ha = HAStar().solve(problem)
+        problem.clear_caches()
+        pg = PolitenessGreedy().solve(problem)
+        problem.clear_caches()
+        chained = FallbackChain([HAStar(), PolitenessGreedy()]).solve(problem)
+        assert chained.objective <= min(ha.objective, pg.objective) + 1e-9
+
+    def test_stages_share_one_wall_budget(self):
+        # Sequential stages: each gets what is left, never a fresh slice.
+        problem = random_serial_instance(8, cluster="quad", seed=9)
+        first, second = _BudgetRecorder("a"), _BudgetRecorder("b")
+        FallbackChain([first, second]).solve(
+            problem, budget=Budget(wall_time=30.0),
+        )
+        assert 0 < second.seen[0] <= first.seen[0] <= 30.0
+
+    def test_unbudgeted_stages_run_unbudgeted(self):
+        problem = random_serial_instance(8, cluster="quad", seed=9)
+        first, second = _BudgetRecorder("a"), _BudgetRecorder("b")
+        FallbackChain([first, second]).solve(problem)
+        assert first.seen == second.seen == [None]
+
+    def test_finished_heuristic_hands_over(self):
+        # Only a proven optimum ends the chain: HA* finishing inside the
+        # budget still hands over to PG, warm-started from HA*'s schedule.
+        problem = random_serial_instance(16, "quad", seed=2)
+        ha = HAStar().solve(problem)
+        problem.clear_caches()
+        result = create_solver("fallback?chain=hastar,pg").solve(
+            problem, budget=Budget(wall_time=60.0))
+        stages = result.stats["stages"]
+        assert [s["solver"] for s in stages] == ["HA*", "PG"]
+        assert stages[0]["stopped"] is None and not stages[0]["optimal"]
+        assert result.objective == pytest.approx(ha.objective, abs=1e-9)
+
+    def test_hill_polishes_hastar(self):
+        problem = random_serial_instance(16, "quad", seed=2)
+        ha = HAStar().solve(problem)
+        problem.clear_caches()
+        result = create_solver("fallback?chain=hastar,hill").solve(problem)
+        assert len(result.stats["stages"]) == 2
+        assert result.objective <= ha.objective + 1e-9
+
+    def test_raising_stage_hands_over(self):
+        problem = small_problem()
+        sink = io.StringIO()
+        problem.counters.tracer = Tracer(sink, flush_every=1)
+        try:
+            result = FallbackChain([_Raising(), PolitenessGreedy()]).solve(
+                problem)
+        finally:
+            problem.counters.tracer = None
+        assert result.stats["winner"] == "PG"
+        assert result.stats["winner_stage"] == 1
+        failed = result.stats["stages"][0]
+        assert failed["objective"] is None
+        assert "stage exploded" in failed["error"]
+        handover = [e for e in trace_to_list(io.StringIO(sink.getvalue()))
+                    if e["ev"] == "fallback"]
+        assert [(e["from_solver"], e["reason"]) for e in handover] == [
+            ("raising", "error")]
+
+    def test_every_stage_raising_reraises_the_last(self):
+        with pytest.raises(RuntimeError, match="stage exploded"):
+            FallbackChain([_Raising(), _Raising()]).solve(small_problem())
 
     def test_chain_beats_or_matches_its_last_resort(self):
         problem = random_serial_instance(16, "quad", seed=11)
