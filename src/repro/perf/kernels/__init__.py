@@ -24,6 +24,9 @@ calls the NumPy module's walk directly.
 
 Every caller (degradation models, the SDC merge, level expansion) imports
 the module-level functions below, which dispatch to the active backend.
+The MER window trim is a factory: :func:`pressure_window_trimmer` binds
+one window's fixed inputs once, and the search that asked for it keeps
+the returned trim (and its buffers) for its life.
 :func:`active_backend` (``"native"`` | ``"numpy"``) is surfaced in
 ``SolveReport.to_dict()``, ``cosched solve --json`` and the service
 ``/metrics`` payload, so every recorded measurement names the path that
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,7 +49,7 @@ __all__ = [
     "native_disabled",
     "pairwise_node_weights",
     "pressure_node_weights",
-    "pressure_window_trim",
+    "pressure_window_trimmer",
     "sdc_merge_ways",
     "select_smallest",
 ]
@@ -101,8 +104,9 @@ def _self_check(impl) -> bool:
             for limit in (1, 16, 99):
                 ref = numpy_backend.pressure_window_trim(
                     m, m, 0.31, sat, 0, ranked, table, limit)
-                got = impl.pressure_window_trim(
-                    m, m, 0.31, sat, 0, ranked, table, limit)
+                trim = impl.pressure_window_trimmer(m, m, 0.31, sat, table,
+                                                    limit)
+                got = trim(0, ranked.tolist())
                 if not (np.array_equal(ref[0], got[0])
                         and np.allclose(ref[1], got[1], rtol=0, atol=1e-12)):
                     return False
@@ -160,21 +164,24 @@ def pressure_node_weights(
     return _IMPL.pressure_node_weights(sens, aggr, nodes, kappa, saturation)
 
 
-def pressure_window_trim(
+def pressure_window_trimmer(
     sens: np.ndarray,
     aggr: np.ndarray,
     kappa: float,
     saturation: Optional[float],
-    level_pid: int,
-    ranked: np.ndarray,
     table: np.ndarray,
     limit: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """HA*'s MER trim of one window in one call: the ``limit`` lightest
-    rows ``[level_pid, ranked[table[r]]]`` as ``(sorted nodes, weights)``,
-    kept in ``(weight, row)`` order."""
-    return _IMPL.pressure_window_trim(sens, aggr, kappa, saturation,
-                                      level_pid, ranked, table, limit)
+) -> Callable[[int, Sequence[int]], Tuple[list, list]]:
+    """HA*'s MER trim of one window, bound to the window's fixed inputs.
+
+    Returns ``trim(level_pid, ranked)``: the ``limit`` lightest rows
+    ``[level_pid, ranked[table[r]]]``, kept in ``(weight, row)`` order,
+    as ``(nodes, weights)`` lists with each node sorted ascending.  The
+    compiled provider's trimmer owns its buffers, so one trimmer serves
+    one thread: a search builds its own and keeps it for its life.
+    """
+    return _IMPL.pressure_window_trimmer(sens, aggr, kappa, saturation,
+                                         table, limit)
 
 
 def sdc_merge_ways(

@@ -8,7 +8,11 @@ only when the source changes.
 The provider exposes the call signatures of
 :mod:`repro.perf.kernels.numpy_backend` for every kernel it compiles, and
 is verified against the NumPy backend on tiny inputs before being adopted
-(see ``_self_check`` in the package ``__init__``).  Any failure — no
+(see ``_self_check`` in the package ``__init__``).  HA*'s MER window trim
+is a factory, ``pressure_window_trimmer``: it builds the window's C plan
+(converted inputs, scratch and output buffers) once and returns a trim
+that owns it, so each call passes two integers, and a search that keeps
+its own trims never shares a buffer with another thread.  Any failure — no
 compiler, sandboxed tmpdir, bad library — is contained here and reported
 as ``None``, never raised to import time.
 """
@@ -20,7 +24,6 @@ import hashlib
 import os
 import subprocess
 import tempfile
-import threading
 from pathlib import Path
 from typing import Optional
 
@@ -36,14 +39,9 @@ _F64 = ctypes.POINTER(ctypes.c_double)
 _I64 = ctypes.POINTER(ctypes.c_int64)
 _PTR = ctypes.c_void_p
 
-#: pressure_window_trim in C gathers each row into a fixed-size scratch;
+#: The C window trim gathers each row into a fixed-size scratch;
 #: wider nodes (more cores per machine than this) use the NumPy reference.
 _WINDOW_MAX_U = 64
-
-#: Window plans one thread keeps (one per model vector, table and limit:
-#: an HA* solve at n = 64 makes about 16); the cache is emptied when it
-#: grows past this, so a long-lived service stays bounded.
-_WINDOW_PLANS_MAX = 64
 
 
 class _WindowPlan(ctypes.Structure):
@@ -115,9 +113,6 @@ class _CcBackend:
         lib.select_smallest.restype = None
         lib.pressure_window_trim.argtypes = [_PTR, ctypes.c_int64]
         lib.pressure_window_trim.restype = None
-        # Per thread, since ctypes drops the GIL during a call and a plan
-        # owns its output buffers.
-        self._local = threading.local()
 
     # ------------------------------------------------------------------ #
 
@@ -163,68 +158,52 @@ class _CcBackend:
         )
         return out
 
-    def _window_plan(self, sens, aggr, kappa, saturation, table, limit):
-        """This thread's plan for one window: ``(inputs, address, ranked
-        buffer, out_rows, out_w, kept alive)``.
+    def pressure_window_trimmer(self, sens, aggr, kappa, saturation, table,
+                                limit):
+        """A trim of one MER window, bound to its fixed inputs.
 
-        Keyed by the identity of the model vectors and the table (the plan
-        holds them, so no id is reused meanwhile); each is converted to
-        float64 / int64 once, here, and never per call.
+        The ``window_plan`` is built here, once: each input converted to
+        float64 / int64, the buffers allocated and their addresses set.
+        A call of the returned ``trim(level_pid, ranked)`` then writes
+        ``ranked`` into the plan, makes one C call (gather, score, select
+        and sort) and reads the outputs as fresh lists.  The plan's
+        buffers are the trimmer's own, so one trimmer serves one thread
+        at a time: a search owns its trimmers.
         """
-        plans = getattr(self._local, "plans", None)
-        if plans is None:
-            plans = self._local.plans = {}
-        key = (id(sens), id(aggr), id(table), kappa, saturation, limit)
-        plan = plans.get(key)
-        if plan is not None:
-            s, a, t = plan[0]
-            if s is sens and a is aggr and t is table:
-                return plan
+        rows, k = table.shape
+        if k + 1 > _WINDOW_MAX_U or rows == 0 or limit <= 0:
+            return numpy_backend.pressure_window_trimmer(
+                sens, aggr, kappa, saturation, table, limit)
         if table.min() < 0:
             raise ValueError("window table indices must be non-negative")
-        rows, k = table.shape
         m = min(limit, rows)
         s = np.ascontiguousarray(sens, dtype=np.float64)
         a = np.ascontiguousarray(aggr, dtype=np.float64)
         t = np.ascontiguousarray(table, dtype=np.int64)
-        ranked = np.zeros(int(table.max()) + 1, dtype=np.int64)
+        size = int(table.max()) + 1
+        buf = (ctypes.c_int64 * size)()
         w = np.empty(rows, dtype=np.float64)
         sel = np.empty(m, dtype=np.int64)
         out_rows = np.empty((m, k + 1), dtype=np.int64)
         out_w = np.empty(m, dtype=np.float64)
-        struct = _WindowPlan(
+        plan = _WindowPlan(
             s.ctypes.data, a.ctypes.data, kappa,
             -1.0 if saturation is None else saturation,
-            t.ctypes.data, rows, k, limit, ranked.ctypes.data,
+            t.ctypes.data, rows, k, limit, ctypes.addressof(buf),
             w.ctypes.data, sel.ctypes.data, out_rows.ctypes.data,
             out_w.ctypes.data,
         )
-        if len(plans) >= _WINDOW_PLANS_MAX:
-            plans.clear()
-        plan = plans[key] = (
-            (sens, aggr, table), ctypes.addressof(struct), ranked, out_rows,
-            out_w, (struct, s, a, t, w, sel),
-        )
-        return plan
+        address = ctypes.addressof(plan)
+        call = self._lib.pressure_window_trim
 
-    def pressure_window_trim(self, sens, aggr, kappa, saturation, level_pid,
-                             ranked, table, limit):
-        """One C call: gather, score, select and sort a MER window.
+        def trim(level_pid, ranked):
+            buf[:] = ranked if len(ranked) == size else ranked[:size]
+            call(address, level_pid)
+            return out_rows.tolist(), out_w.tolist()
 
-        The plan's addresses spare the call all per-argument marshalling,
-        which is most of a window's cost; its outputs are returned as
-        copies, so they outlive the plan's next call.
-        """
-        rows, k = table.shape
-        if k + 1 > _WINDOW_MAX_U or rows == 0 or limit <= 0:
-            return numpy_backend.pressure_window_trim(
-                sens, aggr, kappa, saturation, level_pid, ranked, table,
-                limit)
-        _, address, buf, out_rows, out_w, _ = self._window_plan(
-            sens, aggr, kappa, saturation, table, limit)
-        buf[...] = ranked[:len(buf)]
-        self._lib.pressure_window_trim(address, level_pid)
-        return out_rows.copy(), out_w.copy()
+        # The plan holds raw addresses: keep what they point into alive.
+        trim.plan = (plan, s, a, t, w, sel)
+        return trim
 
 
 def load_cc_backend() -> Optional[_CcBackend]:

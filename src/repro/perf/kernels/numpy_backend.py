@@ -11,7 +11,7 @@ selecting this backend reproduces the historical results bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,6 +19,7 @@ __all__ = [
     "pairwise_node_weights",
     "pressure_node_weights",
     "pressure_window_trim",
+    "pressure_window_trimmer",
     "sdc_merge_ways",
     "select_smallest",
 ]
@@ -135,3 +136,26 @@ def pressure_window_trim(
     weights = pressure_node_weights(sens, aggr, rows, kappa, saturation)
     sel = select_smallest(weights, limit)
     return np.sort(rows[sel], axis=1), weights[sel]
+
+
+def pressure_window_trimmer(
+    sens: np.ndarray,
+    aggr: np.ndarray,
+    kappa: float,
+    saturation: Optional[float],
+    table: np.ndarray,
+    limit: int,
+) -> Callable[[int, Sequence[int]], Tuple[list, list]]:
+    """:func:`pressure_window_trim` bound to one window's fixed inputs.
+
+    ``trim(level_pid, ranked)`` returns the kept ``(nodes, weights)`` as
+    lists, the shape the compiled provider's trimmer returns.
+    """
+
+    def trim(level_pid: int, ranked: Sequence[int]) -> Tuple[list, list]:
+        nodes, weights = pressure_window_trim(
+            sens, aggr, kappa, saturation, level_pid,
+            np.asarray(ranked, dtype=np.intp), table, limit)
+        return nodes.tolist(), weights.tolist()
+
+    return trim

@@ -683,7 +683,12 @@ class SolveService:
             ticket._fail(f"shed solve failed: {exc}")
             return
         stats = report.result.stats
-        spec_used = self._shed_policy.specs[stats["winner_stage"]]
+        specs = self._shed_policy.specs
+        spec_used = specs[stats["winner_stage"]]
+        # Stages that raised handed over to the next; say which and why.
+        failed = [{"stage": specs[idx], "error": stage["error"]}
+                  for idx, stage in enumerate(stats["stages"])
+                  if "error" in stage]
         canon_schedule = schedule_to_canonical(problem, report.schedule)
         self.store.record(fp, canon_schedule, report.objective,
                           stats["winner"], report.optimal)
@@ -695,7 +700,7 @@ class SolveService:
             self._stats["completed"] += 1
         self._emit("svc_shed", id=ticket.ticket_id, fingerprint=fp,
                    policy=self._shed_policy.describe(), used=spec_used,
-                   objective=report.objective)
+                   objective=report.objective, failed=failed)
 
     def ticket(self, ticket_id: str) -> Optional[ServiceTicket]:
         """Look up a ticket by id (``None`` if unknown)."""

@@ -33,7 +33,7 @@ schedule.  Homogeneous problems walk the graph's levels
 (:func:`graph_source`, over :class:`~repro.graph.levels.SuccessorGenerator`);
 scenario problems walk the canonical machine slot plan
 (:func:`repro.solvers.het_search.slot_plan_source`).  The loop owns the
-heap, the interned state table, dismissal, budgets and the anytime
+heap, the state table, dismissal, budgets and the anytime
 completion, the warm-start bound, tracer events and the result.
 """
 
@@ -42,7 +42,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -60,7 +59,7 @@ _EPS = 1e-12
 _PARTIAL_BATCH = 32
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class _Record:
     """One kept subpath (a priority-list element)."""
 
@@ -431,20 +430,17 @@ class AStarSearch(Solver):
             bal_a=sum(pressures) if use_balance else 0.0,
             bal_a2=sum(p * p for p in pressures) if use_balance else 0.0,
         )
-        # Interned state keys.  A state's identity is its scheduled-pid
-        # bitmask (one Python int, incrementally OR-able and far cheaper to
-        # hash than an unscheduled tuple) — plus, where the source keys
-        # children on their leader, ``(leader + 1) << n``.  Keys are
-        # interned to dense ids on first sight, and per-state bookkeeping
-        # lives in flat sequences indexed by id — a packed ``array('d')``
-        # of best-known g for the serial dismissal test, record buckets
-        # for the dominance frontier.  The dict-of-int intern table is the
-        # only hash lookup per candidate, and the dismissal test runs
-        # before any tuple is built.
+        # The state table.  A state's key is its scheduled-pid bitmask
+        # (one Python int, incrementally OR-able and far cheaper to hash
+        # than an unscheduled tuple) — plus, where the source keys children
+        # on their leader, ``(leader + 1) << n``.  Each key maps straight
+        # to what the dismiss strategy keeps: on serial-only problems the
+        # one live record (min g), otherwise the record frontier (a list).
+        # That dict lookup is the only hash per candidate, and the
+        # dismissal test runs before any tuple is built.
+        serial_only = not par_jobs
         pid_bit = [1 << pid for pid in range(n)]
-        state_ids: Dict[int, int] = {0: 0}
-        buckets: List[List[_Record]] = [[root]]
-        best_g = array("d", [0.0])
+        states: Dict[int, object] = {0: root if serial_only else [root]}
         counter = itertools.count()
         h0 = h(root)
         heap: List[Tuple[float, int, _Record]] = [(root.g + h0, next(counter), root)]
@@ -460,6 +456,7 @@ class AStarSearch(Solver):
 
         expanded = 0
         resumes = 0
+        pops = 0
         goal: Optional[_Record] = None
         # Best partial path at the moment a budget limit trips — the anytime
         # answer is this record's path completed greedily.
@@ -468,7 +465,6 @@ class AStarSearch(Solver):
         max_depth = -1
         counters = {"pushed": 1, "dismissed": 0}
 
-        serial_only = not par_jobs
         node_degradations = problem.node_degradations
 
         def make_child(rec: _Record, node: Tuple[int, ...],
@@ -506,15 +502,11 @@ class AStarSearch(Solver):
 
             # Dismissal first: most candidates die here, before their
             # unscheduled tuple and record are built.
-            sid = state_ids.get(key)
-            if sid is None:
-                sid = len(buckets)
-                state_ids[key] = sid
-                buckets.append([])
-                best_g.append(math.inf)
-            bucket = buckets[sid]
+            bucket = states.get(key)
+            if bucket is None:
+                bucket = states[key] = []
             if self.dismiss == "paper":
-                if best_g[sid] <= g + _EPS:
+                if bucket and bucket[0].g <= g + _EPS:
                     counters["dismissed"] += 1
                     return None
             elif any(
@@ -525,10 +517,11 @@ class AStarSearch(Solver):
             ):
                 counters["dismissed"] += 1
                 return None
+            unscheduled = list(rec.unscheduled)
+            for pid in node:
+                unscheduled.remove(pid)
             cand = _Record(
-                unscheduled=tuple(
-                    p for p in rec.unscheduled if not mask & pid_bit[p]
-                ),
+                unscheduled=tuple(unscheduled),
                 serial_sum=serial_sum,
                 par_max=tuple(par_max),
                 par_remaining=tuple(par_remaining),
@@ -541,7 +534,6 @@ class AStarSearch(Solver):
                 mask=mask,
             )
             if self.dismiss == "paper":
-                best_g[sid] = g
                 if bucket:
                     bucket[0].alive = False
                     bucket[0] = cand
@@ -575,38 +567,36 @@ class AStarSearch(Solver):
                 counters["pushed"] += len(out)
                 return out
             # Serial-only: the node weight IS the g-increment, and the
-            # state key is one OR over interned masks — so the dismissal
+            # state key is one OR over per-pid bits — so the dismissal
             # test runs before any tuple or record is built.  The
             # overwhelming majority of candidates die right here.
             base_g = rec.serial_sum
             dismissed = 0
+            states_get = states.get
             for node, node_w in nodes:
                 mask = rec_mask
                 for pid in node:
                     mask |= pid_bit[pid]
                 key = mask | ((node[0] + 1) << n) if keyed else mask
                 g = base_g + node_w
-                sid = state_ids.get(key)
-                if sid is None:
-                    sid = len(buckets)
-                    state_ids[key] = sid
-                    buckets.append([])
-                    best_g.append(math.inf)
-                elif best_g[sid] <= g + _EPS:
+                old = states_get(key)
+                if old is not None and old.g <= g + _EPS:
                     dismissed += 1
                     continue
                 floor_serial_rest = rec.floor_serial_rest
-                bal_a, bal_a2 = rec.bal_a, rec.bal_a2
                 for pid in node:
-                    if use_balance:
+                    floor_serial_rest -= dmin[pid]
+                bal_a, bal_a2 = rec.bal_a, rec.bal_a2
+                if use_balance:
+                    for pid in node:
                         p = pressures[pid]
                         bal_a -= p
                         bal_a2 -= p * p
-                    floor_serial_rest -= dmin[pid]
+                unscheduled = list(rec.unscheduled)
+                for pid in node:
+                    unscheduled.remove(pid)
                 cand = _Record(
-                    unscheduled=tuple(
-                        p for p in rec.unscheduled if not mask & pid_bit[p]
-                    ),
+                    unscheduled=tuple(unscheduled),
                     serial_sum=g,
                     par_max=rec.par_max,
                     par_remaining=rec.par_remaining,
@@ -618,13 +608,9 @@ class AStarSearch(Solver):
                     bal_a2=bal_a2,
                     mask=mask,
                 )
-                best_g[sid] = g
-                bucket = buckets[sid]
-                if bucket:
-                    bucket[0].alive = False
-                    bucket[0] = cand
-                else:
-                    bucket.append(cand)
+                if old is not None:
+                    old.alive = False
+                states[key] = cand
                 out.append(cand)
             counters["dismissed"] += dismissed
             counters["pushed"] += len(out)
@@ -639,7 +625,7 @@ class AStarSearch(Solver):
                 # Best-first A* over the whole search space.
                 while heap:
                     _f, _tie, rec = heapq.heappop(heap)
-                    perf.incr("heap_pops")
+                    pops += 1
                     if not rec.alive:
                         continue
                     if _f >= bound:
@@ -717,6 +703,8 @@ class AStarSearch(Solver):
                                 "dismiss", solver=self.name,
                                 count=newly, expanded=expanded,
                             )
+        if pops:
+            perf.incr("heap_pops", pops)
         perf.incr("heap_pushes", counters["pushed"])
         if stopped is not None and tracer is not None:
             tracer.emit(

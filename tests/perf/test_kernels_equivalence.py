@@ -150,9 +150,9 @@ def window_case(rng, n, k, limit, pads=0):
 
 
 class TestPressureWindowTrim:
-    """HA*'s fused MER trim: same nodes, order and (to round-off) weights
-    as the NumPy reference; bit-identical to the cc build's own
-    gather + pressure kernel + select composition."""
+    """HA*'s fused MER trim, as the trimmer a search owns: same nodes,
+    order and (to round-off) weights as the NumPy reference; bit-identical
+    to the cc build's own gather + pressure kernel + select composition."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("k", [3, 7], ids=["quad", "eight"])
@@ -172,9 +172,9 @@ class TestPressureWindowTrim:
         assert len(ref_nodes) == min(limit, len(table))
         assert (np.diff(ref_nodes, axis=1) > 0).all()
         for name, impl in (("cc", native_impl()), ("dispatch", kernels)):
-            nodes, w = impl.pressure_window_trim(
-                rates, rates, kappa, saturation, level_pid, ranked, table,
-                limit)
+            trim = impl.pressure_window_trimmer(rates, rates, kappa,
+                                                saturation, table, limit)
+            nodes, w = trim(level_pid, ranked.tolist())
             np.testing.assert_array_equal(nodes, ref_nodes, err_msg=name)
             np.testing.assert_allclose(w, ref_w, rtol=0, atol=ATOL,
                                        err_msg=name)
@@ -202,45 +202,83 @@ class TestPressureWindowTrim:
         ref_nodes, ref_w = numpy_backend.pressure_window_trim(
             rates, rates, 0.5, 4.0, 0, ranked, table, 16)
         assert len(np.unique(ref_w)) < len(ref_w)
-        nodes, w = native_impl().pressure_window_trim(
-            rates, rates, 0.5, 4.0, 0, ranked, table, 16)
+        trim = native_impl().pressure_window_trimmer(rates, rates, 0.5, 4.0,
+                                                     table, 16)
+        nodes, w = trim(0, ranked.tolist())
         np.testing.assert_array_equal(nodes, ref_nodes)
         np.testing.assert_array_equal(w, ref_w)
 
-    def test_threads_keep_their_own_buffers(self):
-        # The service solves on worker threads; ctypes drops the GIL in the
-        # call, so each thread must read back its own window's nodes.  More
-        # threads than cores, switching as often as the interpreter allows.
+    def test_a_trimmer_outlives_its_inputs_and_calls(self):
+        # The trimmer keeps what its plan points into alive, and each call
+        # returns fresh lists that the next call leaves untouched.
+        rng = np.random.default_rng(3)
+        rates, level_pid, ranked, table = window_case(rng, 40, 3, 16)
+        refs = [numpy_backend.pressure_window_trim(
+            rates, rates, 0.3, 4.0, level_pid, np.roll(ranked, i), table,
+            16)[0].tolist() for i in range(2)]
+        trim = native_impl().pressure_window_trimmer(
+            rates.copy(), rates.copy(), 0.3, 4.0, table.copy(), 16)
+        first, _w = trim(level_pid, np.roll(ranked, 0).tolist())
+        second, _w = trim(level_pid, np.roll(ranked, 1).tolist())
+        assert first == refs[0] and second == refs[1]
+
+
+def run_threads(work, count):
+    """Run ``work(i)`` on ``count`` threads at once, switching as often as
+    the interpreter allows; more threads than cores."""
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
+class TestThreadOwnership:
+    """The service solves on worker threads, and ctypes drops the GIL in
+    the call: each search owns its trimmers, so no thread reads back
+    another's window."""
+
+    def test_threads_with_their_own_trimmers_match_the_reference(self):
         rng = np.random.default_rng(11)
         rates, level_pid, ranked, table = window_case(rng, 40, 3, 16)
         orders = [np.roll(ranked, i) for i in range(4)]
         refs = [numpy_backend.pressure_window_trim(
-            rates, rates, 0.3, 4.0, level_pid, r, table, 16)[0]
+            rates, rates, 0.3, 4.0, level_pid, r, table, 16)[0].tolist()
             for r in orders]
         impl = native_impl()
         failures = []
 
         def work(i):
+            trim = impl.pressure_window_trimmer(rates, rates, 0.3, 4.0,
+                                                table, 16)
+            ranked_i = orders[i].tolist()
             for _ in range(300):
-                nodes, _w = impl.pressure_window_trim(
-                    rates, rates, 0.3, 4.0, level_pid, orders[i], table,
-                    16)
-                if not np.array_equal(nodes, refs[i]):
+                nodes, _w = trim(level_pid, ranked_i)
+                if nodes != refs[i]:
                     failures.append(i)
 
-        threads = [threading.Thread(target=work, args=(i,))
-                   for i in range(len(orders))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        run_threads(work, len(orders))
         assert not failures
+
+    def test_threads_solving_hastar_get_the_pinned_results(self):
+        from tests.solvers.test_hastar_regression import PINNED, hastar_counts
+
+        cases = [[(64, 0), (64, 1)], [(64, 2), (64, 0)]]
+        got = {}
+
+        def work(i):
+            got[i] = [hastar_counts(n, seed) for n, seed in cases[i]]
+
+        run_threads(work, len(cases))
+        for i, keys in enumerate(cases):
+            assert got.get(i) == [PINNED[key] for key in keys]
 
 
 class TestForcedFallback:

@@ -468,6 +468,33 @@ def test_shed_falls_through_a_raising_member(monkeypatch):
     assert [e["used"] for e in events if e["ev"] == "svc_shed"] == ["pg"]
 
 
+def test_shed_event_names_the_stages_that_raised(monkeypatch):
+    class Boom(PolitenessGreedy):
+        name = "boom"
+
+        def _solve(self, problem):
+            raise RuntimeError("stage exploded")
+
+    monkeypatch.setitem(REGISTRY, "hill",
+                        _replace_factory("hill", lambda **_: Boom()))
+    sink = io.StringIO()
+    shed = _shed_one("pg,hill", make_problem(82), Tracer(sink, flush_every=1))
+    assert shed.state == "done" and shed.solved_by == "PG"
+    events = [e for e in trace_to_list(io.StringIO(sink.getvalue()))
+              if e["ev"] == "svc_shed"]
+    assert events[0]["used"] == "pg"
+    assert events[0]["failed"] == [
+        {"stage": "hill", "error": "RuntimeError: stage exploded"}]
+
+
+def test_shed_event_has_no_failures_when_every_stage_runs():
+    sink = io.StringIO()
+    _shed_one("pg", make_problem(83), Tracer(sink, flush_every=1))
+    events = [e for e in trace_to_list(io.StringIO(sink.getvalue()))
+              if e["ev"] == "svc_shed"]
+    assert events[0]["failed"] == []
+
+
 def test_shed_fails_ticket_when_every_member_raises(monkeypatch):
     def boom(**_params):
         raise RuntimeError("solver construction exploded")
