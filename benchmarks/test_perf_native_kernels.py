@@ -130,18 +130,19 @@ class TestNativeSpeedup:
         rates = rng.uniform(0.15, 0.75, size=64)
         table = _mer_window(16, 3, 18, 10**6)
         assert len(table) == 174
-        ranked = np.argsort(rates)[1:19].astype(np.intp)
-        level_pid = int(np.argsort(rates)[0])
+        rank = np.argsort(rates)
+        ranked = rank[1:19].astype(np.intp)
+        level_pid = int(rank[0])
         trim = impl.pressure_window_trimmer(rates, rates, 1 / 3, 4.0, table,
-                                            16)
-        ranked_list = ranked.tolist()
+                                            16, rank, 64)
+        state = bytes(8)  # nothing scheduled: the walk takes ranks 1-18
         ref_nodes, _w = numpy_backend.pressure_window_trim(
             rates, rates, 1 / 3, 4.0, level_pid, ranked, table, 16)
-        assert trim(level_pid, ranked_list)[0] == ref_nodes.tolist()
+        assert trim(level_pid, state)[0] == ref_nodes.tolist()
 
         def fused():
             for _ in range(200):
-                trim(level_pid, ranked_list)
+                trim(level_pid, state)
 
         def composed():
             for _ in range(200):

@@ -660,14 +660,19 @@ class MissRatePressureModel(CacheDegradationModel):
             self.saturation,
         )
 
-    def window_trimmer(self, table: np.ndarray, limit: int):
+    def window_trimmer(self, table: np.ndarray, limit: int,
+                       rank: Sequence[int]):
         """HA*'s MER trim of one window (see :mod:`repro.graph.levels`),
-        bound to this model: ``trim(level_pid, ranked)`` returns the
+        bound to this model and a search's ``(pressure, pid)`` rank order
+        over every pid: ``trim(level_pid, scheduled)`` walks ``rank`` past
+        the scheduled pids (``scheduled`` is the state's pid mask as
+        ``8 * ceil(n / 64)`` little-endian bytes) and returns the
         ``limit`` lightest nodes ``[level_pid, ranked[table[r]]]`` as
-        ``(sorted nodes, weights)`` lists, from one kernel call."""
+        ``(sorted nodes, weights, child masks)`` lists, from one kernel
+        call."""
         return _kernels.pressure_window_trimmer(
             self.miss_rates, self.miss_rates, self.kappa, self.saturation,
-            table, limit,
+            table, limit, rank, len(rank),
         )
 
 

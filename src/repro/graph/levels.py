@@ -19,8 +19,11 @@ its successors are the nodes ``{level_pid} ∪ (u-1 unscheduled others)``.
   ``window_trimmer`` (batch-scored), at any level size, gathers, scores,
   selects and sorts a small candidate set provably holding the ``limit``
   lightest nodes in one compiled call (see :func:`_mer_window`).  The
-  generator builds one trimmer per window on first use and calls it
-  directly for the rest of its search.
+  generator builds one trimmer per window on first use, bound to its
+  rank order, and calls it directly for the rest of its search.  The
+  call takes the state's scheduled-pid mask, walks the rank order past
+  the scheduled pids itself, and hands back each kept node's child mask
+  (the state key the search dismisses on) with the node.
 
 :class:`HeuristicEstimator` implements the paper's two h(v) strategies
 (Section III-D) over precomputed per-level minimum weights, in several
@@ -44,7 +47,7 @@ from ..core.problem import CoSchedulingProblem
 from ..perf import kernels as _kernels
 from .subset_enum import iter_subsets_monotone
 
-__all__ = ["SuccessorGenerator", "HeuristicEstimator"]
+__all__ = ["SuccessorGenerator", "HeuristicEstimator", "successor_columns"]
 
 
 # --------------------------------------------------------------------- #
@@ -89,6 +92,25 @@ def _iter_prefix_combinations(
             prev = pid
         else:
             yield combo if ascending else tuple(sorted(combo))
+
+
+def successor_columns(
+    scheduled: int, pairs: Sequence[Tuple[Sequence[int], float]]
+) -> Tuple[list, list, List[int]]:
+    """``(node, weight)`` pairs as the columns ``(nodes, weights,
+    child_masks)``: each child mask is ``scheduled`` (the state's
+    scheduled-pid bitmask) with the node's pids set."""
+    nodes = []
+    weights = []
+    masks = []
+    for node, weight in pairs:
+        mask = scheduled
+        for pid in node:
+            mask |= 1 << pid
+        nodes.append(node)
+        weights.append(weight)
+        masks.append(mask)
+    return nodes, weights, masks
 
 
 #: Largest MER window (rows per kernel call) the trim scores at once;
@@ -158,7 +180,8 @@ def _mer_window(
 
     if not rec(0, 0, limit - 1):
         return None
-    table = np.asarray(rows, dtype=np.intp).reshape(-1, k)
+    # reshape(len, k), not (-1, k): single-core rows (k = 0) are empty.
+    table = np.asarray(rows, dtype=np.intp).reshape(len(rows), k)
     table.setflags(write=False)
     return table
 
@@ -199,6 +222,8 @@ class SuccessorGenerator:
         # and dies with this generator's search.
         self._windows: Dict[Tuple[int, int],
                             Optional[Tuple[Callable, int]]] = {}
+        # A trim reads the state's scheduled pids as this many bytes.
+        self._mask_bytes = 8 * ((problem.n + 63) // 64)
         # Proxy streaming: the model exposes a pressure rank key and a fast
         # node weight but is NOT member-monotone — lazy enumeration is then
         # only approximately sorted, which the trimmed (HA*) search may use
@@ -359,7 +384,8 @@ class SuccessorGenerator:
         unscheduled: Tuple[int, ...],
         limit: Optional[int] = None,
         sort: bool = False,
-    ) -> List[Tuple[Tuple[int, ...], float]]:
+        scheduled: Optional[int] = None,
+    ):
         """Successor nodes of a state, as ``(node, weight)`` pairs.
 
         Parameters
@@ -372,7 +398,37 @@ class SuccessorGenerator:
             trimming).  Implies weight ordering of the survivors.
         sort:
             Return successors in ascending weight even without ``limit``.
+        scheduled:
+            The state's scheduled-pid bitmask (the complement of
+            ``unscheduled``).  Given, the same successors come back as the
+            columns ``(nodes, weights, child_masks)`` of
+            :func:`successor_columns`, nodes as tuples or lists; a MER
+            window computes the child masks in its kernel call.
         """
+        if (limit is not None and self._rank_order
+                and len(unscheduled) > self._k):
+            mask = scheduled
+            if mask is None:
+                mask = (1 << self.problem.n) - 1
+                for pid in unscheduled:
+                    mask ^= 1 << pid
+            columns = self._successors_window(unscheduled, limit, mask)
+            if columns is not None:
+                if scheduled is not None:
+                    return columns
+                return list(zip(map(tuple, columns[0]), columns[1]))
+        pairs = self._successor_pairs(unscheduled, limit, sort)
+        if scheduled is None:
+            return pairs
+        return successor_columns(scheduled, pairs)
+
+    def _successor_pairs(
+        self,
+        unscheduled: Tuple[int, ...],
+        limit: Optional[int],
+        sort: bool,
+    ) -> List[Tuple[Tuple[int, ...], float]]:
+        """:meth:`successors` on every path but the MER window."""
         if not unscheduled:
             return []
         level_pid = unscheduled[0]
@@ -381,16 +437,13 @@ class SuccessorGenerator:
         if len(rest) < k:
             return []
 
-        if limit is not None:
-            if self._rank_order:
-                out = self._successors_window(level_pid, rest, k, limit)
-                if out is not None:
-                    return out
-                return self._successors_lazy(level_pid, rest, k, limit)
-            if ((self._monotone_ok or self._proxy_ok)
-                    and math.comb(len(rest), k) > max(4 * limit,
-                                                      _LAZY_THRESHOLD)):
-                return self._successors_lazy(level_pid, rest, k, limit)
+        if limit is not None and (
+            self._rank_order
+            or ((self._monotone_ok or self._proxy_ok)
+                and math.comb(len(rest), k) > max(4 * limit,
+                                                  _LAZY_THRESHOLD))
+        ):
+            return self._successors_lazy(level_pid, rest, k, limit)
 
         if self._presort_ok:
             self._ensure_presorted()
@@ -558,46 +611,42 @@ class SuccessorGenerator:
         return out
 
     def _successors_window(
-        self, level_pid: int, rest: Tuple[int, ...], k: int, limit: int,
-    ) -> Optional[List[Tuple[Tuple[int, ...], float]]]:
-        """The heap's first ``limit`` successors, from one compiled call;
-        None when the window (:func:`_mer_window`) exceeds
-        ``MER_WINDOW_MAX_ROWS``.
+        self, unscheduled: Tuple[int, ...], limit: int, scheduled: int,
+    ) -> Optional[Tuple[list, list, List[int]]]:
+        """The heap's first ``limit`` successors as the columns ``(nodes,
+        weights, child_masks)``, from one compiled call; None when the
+        window (:func:`_mer_window`) exceeds ``MER_WINDOW_MAX_ROWS``.
 
         The window's table indexes the first ``width`` unscheduled pids
         in rank order.  Its trim (the model's ``window_trimmer``, built
-        once per window) scores each row as the heap does (level pid,
-        then the subset in rank order) and keeps the lightest in
-        ``(weight, row)`` order; the table is lexicographic, so that IS
-        the heap's ``(weight, index-tuple)`` order: same nodes, order and
-        weights.  Every scored row counts as a weight evaluation.
+        once per window) walks the rank order past the state's scheduled
+        pids, scores each row as the heap does (level pid, then the
+        subset in rank order) and keeps the lightest in ``(weight, row)``
+        order; the table is lexicographic, so that IS the heap's
+        ``(weight, index-tuple)`` order: same nodes, order and weights.
+        Every scored row counts as a weight evaluation.
         """
-        width = min(len(rest), limit + k - 1)
+        k = self._k
+        width = min(len(unscheduled) - 1, limit + k - 1)
         key = (width, limit)
         try:
             window = self._windows[key]
         except KeyError:
             table = _mer_window(limit, k, width, MER_WINDOW_MAX_ROWS)
             window = self._windows[key] = None if table is None else (
-                self.problem.model.window_trimmer(table, limit), len(table))
+                self.problem.model.window_trimmer(table, limit,
+                                                  self._rank_order),
+                len(table))
         if window is None:
             return None
         trim, rows = window
-        unsched = set(rest)
-        ranked = []
-        need = width
-        for pid in self._rank_order:
-            if pid in unsched:
-                ranked.append(pid)
-                need -= 1
-                if not need:
-                    break
         problem = self.problem
         problem.counters.observe_batch("mer_window", rows)
         problem.count_direct_evals(rows)
-        nodes, weights = trim(level_pid, ranked)
-        self.stats["generated"] += len(weights)
-        return list(zip(map(tuple, nodes), weights))
+        columns = trim(unscheduled[0],
+                       scheduled.to_bytes(self._mask_bytes, "little"))
+        self.stats["generated"] += len(columns[1])
+        return columns
 
 
 # --------------------------------------------------------------------- #

@@ -25,8 +25,10 @@ calls the NumPy module's walk directly.
 Every caller (degradation models, the SDC merge, level expansion) imports
 the module-level functions below, which dispatch to the active backend.
 The MER window trim is a factory: :func:`pressure_window_trimmer` binds
-one window's fixed inputs once, and the search that asked for it keeps
-the returned trim (and its buffers) for its life.
+one window's fixed inputs and the search's rank order once, and the
+search that asked for it keeps the returned trim (and its buffers) for
+its life; each call walks the rank order from the state's scheduled-pid
+mask and hands back the kept nodes' child masks with them.
 :func:`active_backend` (``"native"`` | ``"numpy"``) is surfaced in
 ``SolveReport.to_dict()``, ``cosched solve --json`` and the service
 ``/metrics`` payload, so every recorded measurement names the path that
@@ -95,20 +97,31 @@ def _self_check(impl) -> bool:
             ):
                 return False
         # A quad-core MER window (k = 3, every index tuple of 7 ranked
-        # pids) with a zero-rate pad tie; limits 1, within and beyond it.
+        # pids) with a zero-rate pad tie, the level pid and two scheduled
+        # pids among the first ranks; limits 1, within and beyond it.
         table = np.array(list(itertools.combinations(range(7), 3)),
                          dtype=np.intp)
-        ranked = rng.permutation(np.arange(1, n)[:7]).astype(np.intp)
-        m[ranked[0]] = m[ranked[1]] = 0.0
+        nw = 12
+        mw = rng.uniform(0.15, 0.75, size=nw)
+        rank = rng.permutation(nw).astype(np.intp)
+        level_pid = int(rank[1])
+        ranked = [int(p) for p in rank[3:10]]
+        mw[ranked[0]] = mw[ranked[1]] = 0.0
+        scheduled = (1 << int(rank[0])) | (1 << int(rank[2]))
         for sat in (None, 0.9):
             for limit in (1, 16, 99):
-                ref = numpy_backend.pressure_window_trim(
-                    m, m, 0.31, sat, 0, ranked, table, limit)
-                trim = impl.pressure_window_trimmer(m, m, 0.31, sat, table,
-                                                    limit)
-                got = trim(0, ranked.tolist())
-                if not (np.array_equal(ref[0], got[0])
-                        and np.allclose(ref[1], got[1], rtol=0, atol=1e-12)):
+                ref_nodes, ref_w = numpy_backend.pressure_window_trim(
+                    mw, mw, 0.31, sat, level_pid, np.asarray(ranked), table,
+                    limit)
+                trim = impl.pressure_window_trimmer(mw, mw, 0.31, sat, table,
+                                                    limit, rank, nw)
+                nodes, w, masks = trim(level_pid,
+                                       scheduled.to_bytes(8, "little"))
+                want = [scheduled | sum(1 << p for p in node)
+                        for node in ref_nodes.tolist()]
+                if not (np.array_equal(ref_nodes, nodes)
+                        and np.allclose(ref_w, w, rtol=0, atol=1e-12)
+                        and masks == want):
                     return False
         return True
     except Exception:
@@ -171,17 +184,25 @@ def pressure_window_trimmer(
     saturation: Optional[float],
     table: np.ndarray,
     limit: int,
-) -> Callable[[int, Sequence[int]], Tuple[list, list]]:
-    """HA*'s MER trim of one window, bound to the window's fixed inputs.
+    rank: Sequence[int],
+    n: int,
+) -> Callable[[int, bytes], Tuple[list, list, list]]:
+    """HA*'s MER trim of one window, bound to the window's fixed inputs
+    and a search's ``(pressure, pid)`` rank order over its ``n`` pids.
 
-    Returns ``trim(level_pid, ranked)``: the ``limit`` lightest rows
-    ``[level_pid, ranked[table[r]]]``, kept in ``(weight, row)`` order,
-    as ``(nodes, weights)`` lists with each node sorted ascending.  The
+    Returns ``trim(level_pid, scheduled)``, where ``scheduled`` is the
+    state's scheduled-pid mask as ``mask.to_bytes(8 * ceil(n / 64),
+    "little")``.  The trim takes the first unscheduled pids in rank order
+    other than ``level_pid`` (as many as the table indexes) as
+    ``ranked``, and returns the ``limit`` lightest rows
+    ``[level_pid, ranked[table[r]]]``, kept in ``(weight, row)`` order, as
+    ``(nodes, weights, child_masks)`` lists: each node sorted ascending,
+    each child mask the state's mask with the node's pids set.  The
     compiled provider's trimmer owns its buffers, so one trimmer serves
     one thread: a search builds its own and keeps it for its life.
     """
     return _IMPL.pressure_window_trimmer(sens, aggr, kappa, saturation,
-                                         table, limit)
+                                         table, limit, rank, n)
 
 
 def sdc_merge_ways(

@@ -12,8 +12,10 @@
  *     with (weight, index) ordering — the MER top-n/u rule — so eager
  *     level expansion never materializes Python tuples to re-partition;
  *   - pressure_window_trim  : HA*'s MER trim of one window in one call —
- *     gather the rows, score them as pressure_node_weights does, keep
- *     the limit lightest as select_smallest does, sort each kept node.
+ *     walk the rank order past the state's scheduled pids, gather the
+ *     rows, score them as pressure_node_weights does, keep the limit
+ *     lightest as select_smallest does, sort each kept node and write
+ *     its child state's scheduled-pid mask.
  *
  * Every function is numerically identical to the NumPy fallback in
  * repro/perf/kernels/numpy_backend.py: same IEEE double operations in the
@@ -25,6 +27,7 @@
 
 #include <stdint.h>
 #include <math.h>
+#include <string.h>
 
 /* Node weights from a pairwise degradation table.
  * P is row-major (n_procs x n_procs); nodes is row-major (N x u). */
@@ -161,27 +164,46 @@ void select_smallest(const double *w, int64_t N, int64_t k, int64_t *out_idx)
 
 /* One MER window of HA*'s trim (repro.graph.levels._mer_window): the
  * inputs that stay fixed across a search's calls, and the buffers each
- * call fills.  The caller refills ranked before every call. */
+ * call fills. */
 typedef struct {
     const double *sens, *aggr;
     double kappa, saturation;
     const int64_t *table;   /* rows x k indices into ranked */
     int64_t rows, k, limit;
-    const int64_t *ranked;  /* the first unscheduled pids in rank order */
+    const int64_t *rank;    /* all n pids in (pressure, pid) order */
+    int64_t n, width;       /* width: ranked pids the table indexes */
+    int64_t words;          /* uint64 words per pid mask: ceil(n / 64) */
+    int64_t *ranked;        /* width: the first unscheduled pids by rank */
     double *w;              /* rows: scratch weights */
     int64_t *sel;           /* m = min(limit, rows): kept row indices */
     int64_t *out_rows;      /* m x (k + 1): kept nodes, sorted */
     double *out_w;          /* m: their weights */
+    uint8_t *out_masks;     /* m x 8 words bytes: their child masks */
 } window_plan;
 
-/* Row r is [level_pid, ranked[table[r][0]], ..., ranked[table[r][k-1]]],
- * scored in that member order exactly as pressure_node_weights does; the
- * m lightest in (weight, row) order are kept as select_smallest keeps
- * them, and each is written sorted ascending with its weight.
- * k + 1 <= 64. */
-void pressure_window_trim(const window_plan *p, int64_t level_pid)
+/* The window of the state whose smallest unscheduled pid is level_pid and
+ * whose scheduled pids are the bits of `scheduled` (8 * words bytes,
+ * little-endian, as Python's int.to_bytes writes them).
+ *
+ * The walk takes the first width pids of the rank order that are neither
+ * scheduled nor level_pid.  Row r is then [level_pid, ranked[table[r][0]],
+ * ..., ranked[table[r][k-1]]], scored in that member order exactly as
+ * pressure_node_weights does; the m lightest in (weight, row) order are
+ * kept as select_smallest keeps them, and each is written sorted ascending
+ * with its weight and its child mask, scheduled | the node's pid bits, as
+ * little-endian uint64 words.  k + 1 <= 64.  Returns 0, or -1 when fewer
+ * than width pids are unscheduled (nothing is written). */
+int64_t pressure_window_trim(const window_plan *p, int64_t level_pid,
+                             const uint8_t *scheduled)
 {
-    int64_t k = p->k, u = k + 1;
+    int64_t k = p->k, u = k + 1, got = 0;
+    for (int64_t i = 0; i < p->n && got < p->width; i++) {
+        int64_t pid = p->rank[i];
+        if (pid != level_pid && !((scheduled[pid >> 3] >> (pid & 7)) & 1))
+            p->ranked[got++] = pid;
+    }
+    if (got < p->width)
+        return -1;
     int64_t row[64];
     row[0] = level_pid;
     for (int64_t r = 0; r < p->rows; r++) {
@@ -192,10 +214,12 @@ void pressure_window_trim(const window_plan *p, int64_t level_pid)
                                p->saturation);
     }
     int64_t m = p->limit < p->rows ? p->limit : p->rows;
+    int64_t bytes = 8 * p->words;
     select_smallest(p->w, p->rows, m, p->sel);
     for (int64_t i = 0; i < m; i++) {
         const int64_t *t = p->table + p->sel[i] * k;
         int64_t *out = p->out_rows + i * u;
+        uint8_t *mask = p->out_masks + i * bytes;
         out[0] = level_pid;
         for (int64_t j = 0; j < k; j++)
             out[j + 1] = p->ranked[t[j]];
@@ -207,6 +231,10 @@ void pressure_window_trim(const window_plan *p, int64_t level_pid)
             }
             out[b + 1] = v;
         }
+        memcpy(mask, scheduled, (size_t)bytes);
+        for (int64_t j = 0; j < u; j++)
+            mask[out[j] >> 3] |= (uint8_t)(1u << (out[j] & 7));
         p->out_w[i] = p->w[p->sel[i]];
     }
+    return 0;
 }

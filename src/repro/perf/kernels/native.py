@@ -10,9 +10,10 @@ The provider exposes the call signatures of
 is verified against the NumPy backend on tiny inputs before being adopted
 (see ``_self_check`` in the package ``__init__``).  HA*'s MER window trim
 is a factory, ``pressure_window_trimmer``: it builds the window's C plan
-(converted inputs, scratch and output buffers) once and returns a trim
-that owns it, so each call passes two integers, and a search that keeps
-its own trims never shares a buffer with another thread.  Any failure — no
+(converted inputs, the rank order, scratch and output buffers) once and
+returns a trim that owns it, so each call passes the level pid and the
+state's scheduled-pid mask as bytes, and a search that keeps its own trims
+never shares a buffer with another thread.  Any failure — no
 compiler, sandboxed tmpdir, bad library — is contained here and reported
 as ``None``, never raised to import time.
 """
@@ -54,8 +55,11 @@ class _WindowPlan(ctypes.Structure):
         ("table", _PTR),
         ("rows", ctypes.c_int64), ("k", ctypes.c_int64),
         ("limit", ctypes.c_int64),
+        ("rank", _PTR),
+        ("n", ctypes.c_int64), ("width", ctypes.c_int64),
+        ("words", ctypes.c_int64),
         ("ranked", _PTR), ("w", _PTR), ("sel", _PTR),
-        ("out_rows", _PTR), ("out_w", _PTR),
+        ("out_rows", _PTR), ("out_w", _PTR), ("out_masks", _PTR),
     ]
 
 
@@ -111,8 +115,10 @@ class _CcBackend:
             _F64, ctypes.c_int64, ctypes.c_int64, _I64,
         ]
         lib.select_smallest.restype = None
-        lib.pressure_window_trim.argtypes = [_PTR, ctypes.c_int64]
-        lib.pressure_window_trim.restype = None
+        lib.pressure_window_trim.argtypes = [
+            _PTR, ctypes.c_int64, ctypes.c_char_p,
+        ]
+        lib.pressure_window_trim.restype = ctypes.c_int64
 
     # ------------------------------------------------------------------ #
 
@@ -159,50 +165,64 @@ class _CcBackend:
         return out
 
     def pressure_window_trimmer(self, sens, aggr, kappa, saturation, table,
-                                limit):
+                                limit, rank, n):
         """A trim of one MER window, bound to its fixed inputs.
 
-        The ``window_plan`` is built here, once: each input converted to
-        float64 / int64, the buffers allocated and their addresses set.
-        A call of the returned ``trim(level_pid, ranked)`` then writes
-        ``ranked`` into the plan, makes one C call (gather, score, select
-        and sort) and reads the outputs as fresh lists.  The plan's
-        buffers are the trimmer's own, so one trimmer serves one thread
-        at a time: a search owns its trimmers.
+        The ``window_plan`` is built here, once: each input and the rank
+        order converted to float64 / int64, the buffers allocated and
+        their addresses set.  A call of the returned ``trim(level_pid,
+        scheduled)`` makes one C call (rank walk, gather, score, select,
+        sort and child masks) and reads the outputs as fresh lists.  The
+        plan's buffers are the trimmer's own, so one trimmer serves one
+        thread at a time: a search owns its trimmers.
         """
         rows, k = table.shape
         if k + 1 > _WINDOW_MAX_U or rows == 0 or limit <= 0:
             return numpy_backend.pressure_window_trimmer(
-                sens, aggr, kappa, saturation, table, limit)
-        if table.min() < 0:
-            raise ValueError("window table indices must be non-negative")
+                sens, aggr, kappa, saturation, table, limit, rank, n)
+        width = numpy_backend.window_width(table)
+        r = np.ascontiguousarray(rank, dtype=np.int64)
+        if len(r) != n or (n and (r.min() < 0 or r.max() >= n)):
+            raise ValueError("rank must hold n pids in [0, n)")
         m = min(limit, rows)
+        words = (n + 63) // 64
         s = np.ascontiguousarray(sens, dtype=np.float64)
         a = np.ascontiguousarray(aggr, dtype=np.float64)
+        if len(s) < n or len(a) < n:
+            raise ValueError("sens and aggr need a value per pid")
         t = np.ascontiguousarray(table, dtype=np.int64)
-        size = int(table.max()) + 1
-        buf = (ctypes.c_int64 * size)()
+        ranked = np.empty(width, dtype=np.int64)
         w = np.empty(rows, dtype=np.float64)
         sel = np.empty(m, dtype=np.int64)
         out_rows = np.empty((m, k + 1), dtype=np.int64)
         out_w = np.empty(m, dtype=np.float64)
+        out_masks = np.empty(m * words, dtype="<u8")
         plan = _WindowPlan(
             s.ctypes.data, a.ctypes.data, kappa,
             -1.0 if saturation is None else saturation,
-            t.ctypes.data, rows, k, limit, ctypes.addressof(buf),
-            w.ctypes.data, sel.ctypes.data, out_rows.ctypes.data,
-            out_w.ctypes.data,
+            t.ctypes.data, rows, k, limit, r.ctypes.data, n, width, words,
+            ranked.ctypes.data, w.ctypes.data, sel.ctypes.data,
+            out_rows.ctypes.data, out_w.ctypes.data, out_masks.ctypes.data,
         )
         address = ctypes.addressof(plan)
         call = self._lib.pressure_window_trim
+        step = 8 * words
 
-        def trim(level_pid, ranked):
-            buf[:] = ranked if len(ranked) == size else ranked[:size]
-            call(address, level_pid)
-            return out_rows.tolist(), out_w.tolist()
+        def trim(level_pid, scheduled):
+            if len(scheduled) != step or not 0 <= level_pid < n:
+                raise ValueError(f"need a pid in [0, {n}) and {step} bytes")
+            if call(address, level_pid, scheduled):
+                raise ValueError("fewer unscheduled pids than the window")
+            if words == 1:
+                masks = out_masks.tolist()
+            else:
+                raw = out_masks.tobytes()
+                masks = [int.from_bytes(raw[i:i + step], "little")
+                         for i in range(0, len(raw), step)]
+            return out_rows.tolist(), out_w.tolist(), masks
 
         # The plan holds raw addresses: keep what they point into alive.
-        trim.plan = (plan, s, a, t, w, sel)
+        trim.plan = (plan, s, a, t, r, ranked, w, sel)
         return trim
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "pressure_window_trimmer",
     "sdc_merge_ways",
     "select_smallest",
+    "window_width",
 ]
 
 
@@ -138,6 +139,16 @@ def pressure_window_trim(
     return np.sort(rows[sel], axis=1), weights[sel]
 
 
+def window_width(table: np.ndarray) -> int:
+    """How many ranked pids a MER window table indexes (0 when its rows
+    are empty, as on single-core machines)."""
+    if not table.size:
+        return 0
+    if table.min() < 0:
+        raise ValueError("window table indices must be non-negative")
+    return int(table.max()) + 1
+
+
 def pressure_window_trimmer(
     sens: np.ndarray,
     aggr: np.ndarray,
@@ -145,17 +156,47 @@ def pressure_window_trimmer(
     saturation: Optional[float],
     table: np.ndarray,
     limit: int,
-) -> Callable[[int, Sequence[int]], Tuple[list, list]]:
-    """:func:`pressure_window_trim` bound to one window's fixed inputs.
+    rank: Sequence[int],
+    n: int,
+) -> Callable[[int, bytes], Tuple[list, list, list]]:
+    """:func:`pressure_window_trim` bound to one window's fixed inputs and
+    a search's rank order over its ``n`` pids.
 
-    ``trim(level_pid, ranked)`` returns the kept ``(nodes, weights)`` as
-    lists, the shape the compiled provider's trimmer returns.
+    ``trim(level_pid, scheduled)`` takes the state's scheduled-pid mask as
+    ``8 * ceil(n / 64)`` little-endian bytes.  It walks ``rank``, skipping
+    scheduled pids and ``level_pid``, until it has the ``width`` pids the
+    table indexes, trims the window over them, and returns the kept
+    ``(nodes, weights, child_masks)`` as lists: each child mask is the
+    state's mask with the node's pids set.  The compiled provider's
+    trimmer returns the same.
     """
+    width = window_width(table)
+    rank = [int(pid) for pid in rank]
+    step = 8 * ((n + 63) // 64)
+    bit = [1 << pid for pid in range(n)]
 
-    def trim(level_pid: int, ranked: Sequence[int]) -> Tuple[list, list]:
+    def trim(level_pid: int, scheduled: bytes) -> Tuple[list, list, list]:
+        if len(scheduled) != step or not 0 <= level_pid < n:
+            raise ValueError(f"need a pid in [0, {n}) and {step} bytes")
+        mask = int.from_bytes(scheduled, "little")
+        ranked = []
+        for pid in rank:
+            if len(ranked) == width:
+                break
+            if pid != level_pid and not mask & bit[pid]:
+                ranked.append(pid)
+        if len(ranked) < width:
+            raise ValueError("fewer unscheduled pids than the window")
         nodes, weights = pressure_window_trim(
             sens, aggr, kappa, saturation, level_pid,
             np.asarray(ranked, dtype=np.intp), table, limit)
-        return nodes.tolist(), weights.tolist()
+        nodes = nodes.tolist()
+        masks = []
+        for node in nodes:
+            child = mask
+            for pid in node:
+                child |= bit[pid]
+            masks.append(child)
+        return nodes, weights.tolist(), masks
 
     return trim

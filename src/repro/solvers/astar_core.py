@@ -49,7 +49,11 @@ from ..core.jobs import JobKind
 from ..core.objective import evaluate_schedule
 from ..core.problem import CoSchedulingProblem
 from ..core.schedule import CoSchedule
-from ..graph.levels import HeuristicEstimator, SuccessorGenerator
+from ..graph.levels import (
+    HeuristicEstimator,
+    SuccessorGenerator,
+    successor_columns,
+)
 from .base import SolveResult, Solver
 
 __all__ = ["AStarSearch"]
@@ -90,6 +94,11 @@ class SuccessorSource:
     ``successors(rec, limit)`` lists the ``(node, weight)`` pairs that
     expand ``rec`` — the ``limit`` cheapest when ``limit`` is set; on
     serial-only problems ``weight`` is the node's whole g-increment.
+    The loop reads them as the columns ``(nodes, weights, child_masks)``
+    (:func:`~repro.graph.levels.successor_columns`), each child mask the
+    child's scheduled-pid bitmask; ``children(rec, limit)``, where set,
+    returns those columns directly (a MER window computes the masks in
+    its kernel call), and nodes may then be lists.
     ``h(rec)`` is an admissible estimate of the remaining distance,
     ``depth(rec)`` the level (or slot) ``rec`` has reached,
     ``cheapest(unscheduled)`` the node a greedy completion appends next
@@ -117,6 +126,13 @@ class SuccessorSource:
     pressures: Optional[List[float]] = None
     stream: Optional[Callable] = None
     h_tail: Optional[Callable] = None
+    children: Optional[Callable] = None
+
+    def columns(self, rec: _Record, limit: Optional[int]):
+        """``rec``'s successors as ``(nodes, weights, child_masks)``."""
+        if self.children is not None:
+            return self.children(rec, limit)
+        return successor_columns(rec.mask, self.successors(rec, limit))
 
 
 def process_floors(problem: CoSchedulingProblem, on: bool) -> List[float]:
@@ -299,6 +315,8 @@ def graph_source(search: "AStarSearch",
     return SuccessorSource(
         successors=lambda rec, limit: gen.successors(rec.unscheduled,
                                                      limit=limit),
+        children=lambda rec, limit: gen.successors(
+            rec.unscheduled, limit=limit, scheduled=rec.mask),
         h=h,
         depth=lambda rec: (n - len(rec.unscheduled)) // u,
         cheapest=cheapest,
@@ -431,15 +449,14 @@ class AStarSearch(Solver):
             bal_a2=sum(p * p for p in pressures) if use_balance else 0.0,
         )
         # The state table.  A state's key is its scheduled-pid bitmask
-        # (one Python int, incrementally OR-able and far cheaper to hash
-        # than an unscheduled tuple) — plus, where the source keys children
-        # on their leader, ``(leader + 1) << n``.  Each key maps straight
-        # to what the dismiss strategy keeps: on serial-only problems the
-        # one live record (min g), otherwise the record frontier (a list).
-        # That dict lookup is the only hash per candidate, and the
-        # dismissal test runs before any tuple is built.
+        # (one Python int, handed over with each successor and far cheaper
+        # to hash than an unscheduled tuple) — plus, where the source keys
+        # children on their leader, ``(leader + 1) << n``.  Each key maps
+        # straight to what the dismiss strategy keeps: on serial-only
+        # problems the one live record (min g), otherwise the record
+        # frontier (a list).  That dict lookup is the only hash per
+        # candidate, and the dismissal test runs before any tuple is built.
         serial_only = not par_jobs
-        pid_bit = [1 << pid for pid in range(n)]
         states: Dict[int, object] = {0: root if serial_only else [root]}
         counter = itertools.count()
         h0 = h(root)
@@ -547,42 +564,33 @@ class AStarSearch(Solver):
                 bucket.append(cand)
             return cand
 
-        def expand(rec: _Record, nodes) -> List[_Record]:
-            """The children of ``rec`` over ``(node, weight)`` pairs that
-            survive dismissal, in ``nodes`` order."""
-            keyed = keys_leader is not None and keys_leader(rec)
+        def expand(rec: _Record, columns) -> List[_Record]:
+            """The children of ``rec`` that survive dismissal, in order,
+            from its successors' ``(nodes, weights, child_masks)``."""
+            nodes, weights, masks = columns
+            keys = masks
+            if keys_leader is not None and keys_leader(rec):
+                keys = [mask | ((node[0] + 1) << n)
+                        for node, mask in zip(nodes, masks)]
             out = []
-            rec_mask = rec.mask
             if not serial_only:
-                for node, _w in nodes:
-                    mask = rec_mask
-                    for pid in node:
-                        mask |= pid_bit[pid]
-                    cand = make_child(
-                        rec, node, mask,
-                        mask | ((node[0] + 1) << n) if keyed else mask,
-                    )
+                for node, mask, key in zip(nodes, masks, keys):
+                    cand = make_child(rec, node, mask, key)
                     if cand is not None:
                         out.append(cand)
                 counters["pushed"] += len(out)
                 return out
-            # Serial-only: the node weight IS the g-increment, and the
-            # state key is one OR over per-pid bits — so the dismissal
-            # test runs before any tuple or record is built.  The
-            # overwhelming majority of candidates die right here.
+            # Serial-only: the node weight IS the g-increment and the
+            # state key comes with the node, so the dismissal test runs
+            # before any tuple or record is built.  The overwhelming
+            # majority of candidates die right here.
             base_g = rec.serial_sum
-            dismissed = 0
-            states_get = states.get
-            for node, node_w in nodes:
-                mask = rec_mask
-                for pid in node:
-                    mask |= pid_bit[pid]
-                key = mask | ((node[0] + 1) << n) if keyed else mask
+            for node, node_w, mask, key, old in zip(
+                    nodes, weights, masks, keys, map(states.get, keys)):
                 g = base_g + node_w
-                old = states_get(key)
                 if old is not None and old.g <= g + _EPS:
-                    dismissed += 1
                     continue
+                node = tuple(node)
                 floor_serial_rest = rec.floor_serial_rest
                 for pid in node:
                     floor_serial_rest -= dmin[pid]
@@ -612,7 +620,7 @@ class AStarSearch(Solver):
                     old.alive = False
                 states[key] = cand
                 out.append(cand)
-            counters["dismissed"] += dismissed
+            counters["dismissed"] += len(nodes) - len(out)
             counters["pushed"] += len(out)
             return out
 
@@ -688,11 +696,11 @@ class AStarSearch(Solver):
                             heapq.heappush(
                                 heap, (f_resume, next(counter), rec)
                             )
-                        successor_nodes = batch_nodes
+                        columns = successor_columns(rec.mask, batch_nodes)
                     else:
-                        successor_nodes = source.successors(rec, node_limit)
+                        columns = source.columns(rec, node_limit)
 
-                    for cand in expand(rec, successor_nodes):
+                    for cand in expand(rec, columns):
                         heapq.heappush(
                             heap, (cand.g + h(cand), next(counter), cand),
                         )
@@ -787,7 +795,7 @@ class AStarSearch(Solver):
                     continue
                 expanded += 1
                 budget.charge()
-                for cand in expand(rec, source.successors(rec, limit)):
+                for cand in expand(rec, source.columns(rec, limit)):
                     candidates.append((cand.g + source.h(cand), cand))
             if not candidates:
                 return None, expanded, None, None

@@ -136,8 +136,10 @@ class TestSelectSmallest:
 
 
 def window_case(rng, n, k, limit, pads=0):
-    """Rates (``pads`` zero-rate padding pids), a level pid, ``ranked``
-    and HA*'s MER window table for ``limit`` over ``k`` co-runners."""
+    """Rates (``pads`` zero-rate padding pids), their ``(rate, pid)`` rank
+    order, a level pid, the ``ranked`` pids a state with nothing scheduled
+    hands the window, and HA*'s MER window table for ``limit`` over ``k``
+    co-runners."""
     rates = rng.uniform(0.15, 0.75, size=n)
     rates[n - pads:] = 0.0
     level_pid = int(rng.integers(0, n))
@@ -146,13 +148,50 @@ def window_case(rng, n, k, limit, pads=0):
     # Rank order: ascending rate, so the pads lead and tie.
     ranked = others[np.argsort(rates[others], kind="stable")][:width]
     table = _mer_window(limit, k, width, 10**6)
-    return rates, level_pid, ranked.astype(np.intp), table
+    rank = np.argsort(rates, kind="stable")
+    return rates, rank, level_pid, ranked.astype(np.intp), table
+
+
+def mask_bytes(mask, n):
+    """A scheduled-pid mask as a trim reads it."""
+    return mask.to_bytes(8 * ((n + 63) // 64), "little")
+
+
+def reference_trim(rates, kappa, saturation, level_pid, mask, ranked, table,
+                   limit):
+    """The NumPy reference's ``(nodes, weights)`` over ``ranked``, with
+    each kept node's child mask: ``mask`` with the node's pids set."""
+    nodes, w = numpy_backend.pressure_window_trim(
+        rates, rates, kappa, saturation, level_pid, ranked, table, limit)
+    masks = [mask | sum(1 << p for p in node) for node in nodes.tolist()]
+    return nodes, w, masks
+
+
+def assert_trim_matches(got, ref, name):
+    """Same nodes and child masks, weights to ``ATOL``."""
+    nodes, w, masks = got
+    np.testing.assert_array_equal(nodes, ref[0], err_msg=name)
+    np.testing.assert_allclose(w, ref[1], rtol=0, atol=ATOL, err_msg=name)
+    assert masks == ref[2], name
+
+
+def trimmers(rates, kappa, saturation, table, limit, rank, n):
+    """The cc build's (where it loads), the dispatcher's and the NumPy
+    reference's trimmer of one window, by name."""
+    impls = [("dispatch", kernels), ("numpy", numpy_backend)]
+    cc = native.load_cc_backend()
+    if cc is not None:
+        impls.insert(0, ("cc", cc))
+    return [(name, impl.pressure_window_trimmer(
+                rates, rates, kappa, saturation, table, limit, rank, n))
+            for name, impl in impls]
 
 
 class TestPressureWindowTrim:
     """HA*'s fused MER trim, as the trimmer a search owns: same nodes,
-    order and (to round-off) weights as the NumPy reference; bit-identical
-    to the cc build's own gather + pressure kernel + select composition."""
+    order, child masks and (to round-off) weights as the NumPy reference;
+    bit-identical to the cc build's own gather + pressure kernel + select
+    composition."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("k", [3, 7], ids=["quad", "eight"])
@@ -161,32 +200,77 @@ class TestPressureWindowTrim:
     def test_matches_reference(self, seed, k, saturation, limit):
         rng = np.random.default_rng(500 + seed)
         n = 48 if limit != 10**4 else 12  # the last: limit > every row
-        rates, level_pid, ranked, table = window_case(
+        rates, rank, level_pid, ranked, table = window_case(
             rng, n, k, min(limit, 64), pads=seed)
         if limit == 10**4:
             assert len(table) < limit
         kappa = 1.0 / k
-        ref_nodes, ref_w = numpy_backend.pressure_window_trim(
-            rates, rates, kappa, saturation, level_pid, ranked, table,
-            limit)
-        assert len(ref_nodes) == min(limit, len(table))
-        assert (np.diff(ref_nodes, axis=1) > 0).all()
-        for name, impl in (("cc", native_impl()), ("dispatch", kernels)):
-            trim = impl.pressure_window_trimmer(rates, rates, kappa,
-                                                saturation, table, limit)
-            nodes, w = trim(level_pid, ranked.tolist())
-            np.testing.assert_array_equal(nodes, ref_nodes, err_msg=name)
-            np.testing.assert_allclose(w, ref_w, rtol=0, atol=ATOL,
-                                       err_msg=name)
-            if impl is kernels:
+        ref = reference_trim(rates, kappa, saturation, level_pid, 0, ranked,
+                             table, limit)
+        assert len(ref[0]) == min(limit, len(table))
+        assert (np.diff(ref[0], axis=1) > 0).all()
+        for name, trim in trimmers(rates, kappa, saturation, table, limit,
+                                   rank, n):
+            got = trim(level_pid, mask_bytes(0, n))
+            assert_trim_matches(got, ref, name)
+            if name != "cc":
                 continue
             rows = np.empty((len(table), k + 1), dtype=np.intp)
             rows[:, 0] = level_pid
             rows[:, 1:] = ranked[table]
-            own = impl.pressure_node_weights(rates, rates, rows, kappa,
-                                             saturation)
+            own = native_impl().pressure_node_weights(rates, rates, rows,
+                                                      kappa, saturation)
             sel = numpy_backend.select_smallest(own, limit)
-            np.testing.assert_array_equal(w, own[sel], err_msg=name)
+            np.testing.assert_array_equal(got[1], own[sel], err_msg=name)
+
+    @pytest.mark.parametrize("n", [48, 64, 70, 128])
+    @pytest.mark.parametrize("k", [3, 7], ids=["quad", "eight"])
+    @pytest.mark.parametrize("free", ["all", "most", "few"])
+    def test_walk_skips_scheduled_pids_and_the_level_pid(self, n, k, free):
+        # The level pid sits at rank 2 and every other pid among the first
+        # ranks is scheduled, so the walk must step over both; "few" leaves
+        # fewer unscheduled pids than the window's limit + k - 1.  n > 64
+        # takes two-word masks, with scheduled pids in both words.
+        rng = np.random.default_rng(n + k)
+        rates = rng.uniform(0.15, 0.75, size=n)
+        rates[-6:] *= 0.2  # the highest pids lead the rank order
+        rank = np.argsort(rates, kind="stable")
+        level_pid = int(rank[2])
+        limit = n // (k + 1)
+        others = [int(p) for p in rank if p != level_pid]
+        keep = {"all": n, "most": n - 8, "few": limit + k - 4}[free]
+        scheduled = others[0:2 * (n - keep):2][:n - keep]
+        scheduled += [p for p in others[::-1]
+                      if p not in scheduled][:n - keep - len(scheduled)]
+        assert len(scheduled) == n - keep and level_pid not in scheduled
+        mask = sum(1 << p for p in scheduled)
+        if n > 64 and free != "all":
+            assert mask >> 64 and mask & (2**64 - 1)
+        ranked = np.array([p for p in others if not mask >> p & 1],
+                          dtype=np.intp)
+        width = min(len(ranked), limit + k - 1)
+        assert (width < limit + k - 1) == (free == "few")
+        ranked = ranked[:width]
+        table = _mer_window(limit, k, width, 10**6)
+        ref = reference_trim(rates, 1.0 / k, 4.0, level_pid, mask, ranked,
+                             table, limit)
+        for name, trim in trimmers(rates, 1.0 / k, 4.0, table, limit, rank,
+                                   n):
+            assert_trim_matches(trim(level_pid, mask_bytes(mask, n)), ref,
+                                name)
+
+    def test_single_core_window_keeps_the_level_pid_alone(self):
+        # k = 0: the window is one empty row, the node is the level pid
+        # and weighs nothing.
+        n = 6
+        rates = np.random.default_rng(2).uniform(0.15, 0.75, size=n)
+        table = _mer_window(6, 0, 5, 10**6)
+        assert table.shape == (1, 0)
+        mask = 0b100100
+        for name, trim in trimmers(rates, 1.0, 4.0, table, 6,
+                                   np.argsort(rates), n):
+            assert trim(1, mask_bytes(mask, n)) == (
+                [[1]], [0.0], [mask | 0b10]), name
 
     @pytest.mark.parametrize("k", [3, 7], ids=["quad", "eight"])
     def test_equal_weight_rows_break_ties_by_row(self, k):
@@ -198,29 +282,48 @@ class TestPressureWindowTrim:
         rates[n - (k + 2):] = 0.0
         ranked = np.array(list(range(n - (k + 2), n))
                           + list(range(1, 12)), dtype=np.intp)
+        rank = np.argsort(rates, kind="stable")
         table = _mer_window(16, k, len(ranked), 10**6)
-        ref_nodes, ref_w = numpy_backend.pressure_window_trim(
-            rates, rates, 0.5, 4.0, 0, ranked, table, 16)
-        assert len(np.unique(ref_w)) < len(ref_w)
+        ref = reference_trim(rates, 0.5, 4.0, 0, 0, ranked, table, 16)
+        assert len(np.unique(ref[1])) < len(ref[1])
         trim = native_impl().pressure_window_trimmer(rates, rates, 0.5, 4.0,
-                                                     table, 16)
-        nodes, w = trim(0, ranked.tolist())
-        np.testing.assert_array_equal(nodes, ref_nodes)
-        np.testing.assert_array_equal(w, ref_w)
+                                                     table, 16, rank, n)
+        nodes, w, masks = trim(0, mask_bytes(0, n))
+        np.testing.assert_array_equal(nodes, ref[0])
+        np.testing.assert_array_equal(w, ref[1])
+        assert masks == ref[2]
 
     def test_a_trimmer_outlives_its_inputs_and_calls(self):
         # The trimmer keeps what its plan points into alive, and each call
         # returns fresh lists that the next call leaves untouched.
         rng = np.random.default_rng(3)
-        rates, level_pid, ranked, table = window_case(rng, 40, 3, 16)
-        refs = [numpy_backend.pressure_window_trim(
-            rates, rates, 0.3, 4.0, level_pid, np.roll(ranked, i), table,
-            16)[0].tolist() for i in range(2)]
+        n = 40
+        rates, rank, level_pid, ranked, table = window_case(rng, n, 3, 16)
+        masks = [0, 1 << int(ranked[0])]
+        refs = [reference_trim(rates, 0.3, 4.0, level_pid, 0, ranked,
+                               table, 16),
+                reference_trim(rates, 0.3, 4.0, level_pid, masks[1],
+                               np.array([p for p in rank
+                                         if p not in (level_pid, ranked[0])]
+                                        [:len(ranked)]), table, 16)]
         trim = native_impl().pressure_window_trimmer(
-            rates.copy(), rates.copy(), 0.3, 4.0, table.copy(), 16)
-        first, _w = trim(level_pid, np.roll(ranked, 0).tolist())
-        second, _w = trim(level_pid, np.roll(ranked, 1).tolist())
-        assert first == refs[0] and second == refs[1]
+            rates.copy(), rates.copy(), 0.3, 4.0, table.copy(), 16,
+            rank.copy(), n)
+        first = trim(level_pid, mask_bytes(masks[0], n))
+        second = trim(level_pid, mask_bytes(masks[1], n))
+        assert_trim_matches(first, refs[0], "first")
+        assert_trim_matches(second, refs[1], "second")
+
+    def test_bad_states_are_refused(self):
+        rates, rank, level_pid, ranked, table = window_case(
+            np.random.default_rng(4), 40, 3, 16)
+        for name, trim in trimmers(rates, 0.3, 4.0, table, 16, rank, 40):
+            with pytest.raises(ValueError):
+                trim(level_pid, bytes(4))  # not one 8-byte word
+            with pytest.raises(ValueError):
+                trim(40, bytes(8))  # no such pid
+            with pytest.raises(ValueError):  # too few unscheduled pids
+                trim(level_pid, mask_bytes(2**40 - 1 - (1 << level_pid), 40))
 
 
 def run_threads(work, count):
@@ -247,20 +350,24 @@ class TestThreadOwnership:
 
     def test_threads_with_their_own_trimmers_match_the_reference(self):
         rng = np.random.default_rng(11)
-        rates, level_pid, ranked, table = window_case(rng, 40, 3, 16)
-        orders = [np.roll(ranked, i) for i in range(4)]
+        n = 40
+        rates, rank, level_pid, ranked, table = window_case(rng, n, 3, 16)
+        # Each thread's search has its own rank order.
+        orders = [np.roll(rank, i) for i in range(4)]
         refs = [numpy_backend.pressure_window_trim(
-            rates, rates, 0.3, 4.0, level_pid, r, table, 16)[0].tolist()
+            rates, rates, 0.3, 4.0, level_pid,
+            np.array([p for p in r if p != level_pid][:len(ranked)]),
+            table, 16)[0].tolist()
             for r in orders]
         impl = native_impl()
         failures = []
 
         def work(i):
             trim = impl.pressure_window_trimmer(rates, rates, 0.3, 4.0,
-                                                table, 16)
-            ranked_i = orders[i].tolist()
+                                                table, 16, orders[i], n)
+            state = mask_bytes(0, n)
             for _ in range(300):
-                nodes, _w = trim(level_pid, ranked_i)
+                nodes, _w, _masks = trim(level_pid, state)
                 if nodes != refs[i]:
                     failures.append(i)
 

@@ -20,6 +20,8 @@ PINNED = {
     (64, 1): ('11.512776025233833', 2659, 40624, 36681, 3944, 3936),
     (64, 2): ('11.006456088831222', 2508, 37443, 33387, 4057, 4049),
     (32, 0): ('5.931094286511573', 161, 1078, 889, 190, 189),
+    # Beyond 64 pids: two-word scheduled-pid masks.
+    (70, 1): ('12.578376493350143', 6371, 111329, 101516, 9814, 9808),
 }
 
 
