@@ -9,7 +9,6 @@
     cosched solve --save-problem mix.json BT CG EP FT  # export the instance
     cosched solve --problem-file mix.json              # re-solve it anywhere
     cosched graph --cluster dual BT CG EP FT IS LU     # Fig. 3-style view
-    cosched simulate --jobs 60 --machines 4            # online policies
     cosched serve --port 8831 --workers 2              # memoizing HTTP service
     cosched serve --store memo.jsonl                   # memo survives restarts
     cosched submit --url http://127.0.0.1:8831 BT CG EP FT
@@ -26,8 +25,7 @@ pretty schedule, and ``--profile`` prints the perf-counter report even
 when the solve fails.  ``--save-problem``/``--problem-file`` round-trip
 the instance through the :mod:`repro.service` codec, so a solve is
 reproducible outside the catalog.  ``graph`` renders the co-scheduling
-graph with the chosen solver's path highlighted; ``simulate`` races online
-placement policies on a random arrival trace.  ``serve`` runs the
+graph with the chosen solver's path highlighted.  ``serve`` runs the
 memoizing solve service (``docs/SERVICE.md``, ``docs/DEPLOYMENT.md``) in
 one process, with graceful SIGTERM drain (exit 1 when the drain times
 out) and load-shedding via ``--shed-solver``; ``submit`` sends one
@@ -146,7 +144,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
               f"(fingerprint {fingerprint[:16]}...)", file=sys.stderr)
     budget = None
     if args.budget is not None:
-        if args.budget <= 0:
+        if not args.budget > 0:  # also refuses NaN
             print("--budget must be positive seconds", file=sys.stderr)
             return 2
         budget = Budget(wall_time=args.budget)
@@ -209,9 +207,27 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                   file=sys.stderr)
 
 
+def _replay_arg_error(args: argparse.Namespace) -> Optional[str]:
+    """The first out-of-range ``replay`` number, as a message, or ``None``.
+    Comparisons are written so that NaN fails them."""
+    if args.n < 1:
+        return "--n must be at least 1"
+    if args.events is not None and args.events < 1:
+        return "--events must be at least 1"
+    if not 0 < args.churn < float("inf"):
+        return "--churn must be a positive finite fraction"
+    if args.saturation is not None and not 0 < args.saturation < float("inf"):
+        return "--saturation must be positive and finite"
+    return None
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
     from .online import load_trace, replay_trace, synthetic_trace, write_trace
 
+    error = _replay_arg_error(args)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 2
     if _parse_solver_spec(args.base) is None:
         return 2
     if args.trace_file:
@@ -300,45 +316,6 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from .sim import (
-        FirstFitPlacement,
-        LeastLoadedPlacement,
-        LeastPressurePlacement,
-        OnlineJob,
-        simulate,
-    )
-
-    rng = np.random.default_rng(args.seed)
-    jobs = []
-    t = 0.0
-    for i in range(args.jobs):
-        t += float(rng.exponential(args.mean_interarrival))
-        jobs.append(OnlineJob(
-            name=f"job{i}", arrival=t,
-            work=float(rng.uniform(4, 16)),
-            pressure=float(rng.uniform(0.15, 0.75)),
-        ))
-
-    def contention(job, coset):
-        return job.pressure * sum(o.pressure for o in coset)
-
-    print(f"{args.jobs} jobs onto {args.machines} x {args.cores}-core "
-          "machines\n")
-    print(f"{'policy':>16} {'mean slowdown':>14} {'max':>8} {'makespan':>9}")
-    for policy in (FirstFitPlacement(), LeastLoadedPlacement(),
-                   LeastPressurePlacement()):
-        fresh = [OnlineJob(j.name, j.arrival, j.work, j.pressure)
-                 for j in jobs]
-        res = simulate(fresh, args.machines, args.cores, policy,
-                       degradation=contention)
-        print(f"{policy.name:>16} {res.mean_slowdown:>14.3f} "
-              f"{res.max_slowdown:>8.2f} {res.makespan:>9.1f}")
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
@@ -399,7 +376,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         return err
     budget = None
     if args.budget is not None:
-        if args.budget <= 0:
+        if not args.budget > 0:  # also refuses NaN
             print("--budget must be positive seconds", file=sys.stderr)
             return 2
         budget = {"wall_time": args.budget}
@@ -473,8 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--json", action="store_true",
         help="print the normalized SolveReport document (the same shape "
-             "the HTTP service and sim.compare_solvers report) instead of "
-             "the pretty schedule",
+             "the HTTP service reports) instead of the pretty schedule",
     )
     p_solve.add_argument(
         "--profile", action="store_true",
@@ -567,14 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the replay result document instead of the event table",
     )
     p_replay.set_defaults(func=_cmd_replay)
-
-    p_sim = sub.add_parser("simulate", help="online placement-policy race")
-    p_sim.add_argument("--jobs", type=int, default=60)
-    p_sim.add_argument("--machines", type=int, default=4)
-    p_sim.add_argument("--cores", type=int, default=4)
-    p_sim.add_argument("--mean-interarrival", type=float, default=0.5)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.set_defaults(func=_cmd_simulate)
 
     p_serve = sub.add_parser(
         "serve", help="run the memoizing co-scheduling HTTP service"

@@ -1,7 +1,7 @@
 """repro.runtime — the solver registry and the one solve pipeline.
 
-Every surface that runs a solver (CLI, HTTP service, batch simulator,
-experiment runners) resolves solvers through this package:
+Every surface that runs a solver (CLI, HTTP service, experiment
+runners) resolves solvers through this package:
 
 * :mod:`repro.runtime.registry` — the capability-annotated
   :data:`~repro.runtime.registry.REGISTRY` of

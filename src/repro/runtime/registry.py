@@ -2,13 +2,13 @@
 
 Before this package existed the repo carried three divergent hand-written
 solver tables — ``cli.SOLVERS``, ``service.queue.SOLVER_FACTORIES`` and
-direct class construction inside ``experiments/`` and ``sim`` — each
-wiring budgets, tracing and warm starts differently, and each supporting
-a different solver subset.  :data:`REGISTRY` replaces all
-of them: a capability-annotated table of :class:`SolverInfo` entries that
-the CLI, the HTTP service, the batch simulator and the experiment runners
-all resolve through.  Adding a solver (or a capability) is a one-entry
-change here, visible everywhere at once.
+direct class construction inside ``experiments/`` — each wiring budgets,
+tracing and warm starts differently, and each supporting a different
+solver subset.  :data:`REGISTRY` replaces all of them: a
+capability-annotated table of :class:`SolverInfo` entries that the CLI,
+the HTTP service and the experiment runners all resolve through.  Adding
+a solver (or a capability) is a one-entry change here, visible everywhere
+at once.
 
 Solvers are addressed by **spec strings** — one syntax shared by CLI
 flags, HTTP request bodies and experiment configs::

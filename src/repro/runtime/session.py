@@ -1,9 +1,8 @@
 """The one solve pipeline: spec -> solver -> normalized report.
 
-:func:`run_solve` is how every surface — CLI, HTTP service workers, the
-batch simulator, experiment runners — actually runs a solver.  It
-composes, in one place, the plumbing the old call sites each hand-rolled
-differently:
+:func:`run_solve` is how every surface — CLI, HTTP service workers,
+experiment runners — actually runs a solver.  It composes, in one place,
+the plumbing the old call sites each hand-rolled differently:
 
 * **resolution** — the spec string (or :class:`SolverSpec`, or an already
   constructed :class:`~repro.solvers.base.Solver`) becomes an instance via
@@ -17,15 +16,16 @@ differently:
 
 The outcome is a :class:`SolveReport` whose :meth:`~SolveReport.to_dict`
 is the stable JSON shape shared by ``cosched solve --json``, the service
-``GET /status/<id>`` payload, and :func:`repro.sim.compare_solvers` rows —
-one spec string produces equivalent report dicts on every surface.
+``GET /status/<id>`` payload, and the rows of any sweep over
+:func:`run_solve` (``to_dict(include_schedule=False)``) — one spec string
+produces equivalent report dicts on every surface.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 from ..core.problem import CoSchedulingProblem
 from ..perf import kernels as _kernels
@@ -202,8 +202,3 @@ def run_solve(
         u=problem.u,
     )
 
-
-def spec_report_rows(reports: List[SolveReport]) -> List[Dict[str, object]]:
-    """Report dicts (schedule omitted) for a list of reports — the row
-    shape :func:`repro.sim.compare_solvers` builds on."""
-    return [r.to_dict(include_schedule=False) for r in reports]

@@ -150,6 +150,11 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", 0))
+            if length < 0:
+                # read(-1) would block until the client closes; the body's
+                # end is unknown, so the connection cannot be reused.
+                self.close_connection = True
+                raise ValueError(f"negative Content-Length {length}")
             doc = json.loads(self.rfile.read(length) or b"{}")
             problem = problem_from_dict(doc["problem"])
             base_problem = None
@@ -157,12 +162,17 @@ class _Handler(BaseHTTPRequestHandler):
                 base_problem = problem_from_dict(doc["base_problem"])
             budget = _budget_from_dict(doc.get("budget"))
             wait = float(doc.get("wait", 0.0))
+            if not wait <= threading.TIMEOUT_MAX:  # also refuses NaN
+                raise ValueError(
+                    f"wait must be at most {threading.TIMEOUT_MAX} seconds")
             request = dict(
                 solver=doc.get("solver"), budget=budget,
                 priority=int(doc.get("priority", 1)),
                 refine=bool(doc.get("refine", False)),
             )
-        except (KeyError, TypeError, ValueError, CodecError) as exc:
+        # OverflowError: int() of an infinite priority or budget count.
+        except (KeyError, TypeError, ValueError, OverflowError,
+                CodecError) as exc:
             self._reply(400, {"error": "bad_request", "detail": str(exc)})
             return
         service = self.server.service

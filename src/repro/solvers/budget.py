@@ -46,12 +46,12 @@ class Budget:
     max_weight_evals: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.wall_time is not None and self.wall_time < 0:
-            raise ValueError("wall_time must be >= 0")
-        if self.max_expanded is not None and self.max_expanded < 0:
-            raise ValueError("max_expanded must be >= 0")
-        if self.max_weight_evals is not None and self.max_weight_evals < 0:
-            raise ValueError("max_weight_evals must be >= 0")
+        # ``not x >= 0`` rather than ``x < 0``: NaN compares False both
+        # ways, and a NaN limit would never trip.
+        for field in ("wall_time", "max_expanded", "max_weight_evals"):
+            value = getattr(self, field)
+            if value is not None and not value >= 0:
+                raise ValueError(f"{field} must be >= 0, not {value!r}")
 
     @property
     def limited(self) -> bool:

@@ -109,6 +109,14 @@ class TestErrors:
         assert exc.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
 
+    def test_removed_simulate_subcommand_is_unknown(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'simulate'" in capsys.readouterr().err
+
     def test_empty_composite_list(self):
         with pytest.raises(SpecError) as exc:
             create_solver("fallback?chain=true")

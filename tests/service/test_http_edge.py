@@ -4,6 +4,8 @@ usable."""
 
 import http.client
 import json
+import socket
+import threading
 
 import pytest
 
@@ -16,6 +18,25 @@ PROBLEM = problem_to_dict(random_serial_instance(6, seed=3))
 
 def _doc(**fields):
     return json.dumps({"problem": PROBLEM, **fields}).encode()
+
+
+def _raw(body, **literals):
+    """``body`` with each field's value spliced in as a raw JSON literal
+    (``1e400``, ``NaN``), which ``json.dumps`` would not write."""
+    text = body.decode()
+    for field, literal in literals.items():
+        assert f'"{field}": 0' in text, field
+        text = text.replace(f'"{field}": 0', f'"{field}": {literal}', 1)
+    return text.encode()
+
+
+def _slow(seed, wait):
+    """A request whose ticket is still pending when the handler reaches
+    ``wait``: a problem no other row submits, and a slow solver."""
+    return json.dumps(dict(
+        problem=problem_to_dict(random_serial_instance(16, "quad", seed=seed)),
+        solver="oastar", budget={"wall_time": 2.0}, wait=wait,
+    )).encode()
 
 
 # (id, method, path, body, status, error, reason)
@@ -33,6 +54,25 @@ ROWS = [
     ("non_object_budget_delta", "POST", "/delta",
      _doc(base_problem=PROBLEM, budget=["wall_time"]), 400, "bad_request",
      None),
+    ("priority_overflow", "POST", "/solve",
+     _raw(_doc(priority=0), priority="1e400"), 400, "bad_request", None),
+    ("max_expanded_overflow", "POST", "/solve",
+     _raw(_doc(budget={"max_expanded": 0}), max_expanded="1e400"), 400,
+     "bad_request", None),
+    ("max_weight_evals_overflow", "POST", "/solve",
+     _raw(_doc(budget={"max_weight_evals": 0}), max_weight_evals="1e400"),
+     400, "bad_request", None),
+    ("wall_time_nan", "POST", "/solve",
+     _raw(_doc(budget={"wall_time": 0}), wall_time="NaN"), 400,
+     "bad_request", None),
+    ("wall_time_nan_string", "POST", "/solve",
+     _doc(budget={"wall_time": "nan"}), 400, "bad_request", None),
+    ("wait_above_timeout_max", "POST", "/solve",
+     _slow(11, threading.TIMEOUT_MAX * 2), 400, "bad_request", None),
+    ("wait_overflow", "POST", "/solve",
+     _raw(_slow(12, 0), wait="1e400"), 400, "bad_request", None),
+    ("wait_nan", "POST", "/solve", _raw(_doc(wait=0), wait="NaN"), 400,
+     "bad_request", None),
     ("unknown_solver", "POST", "/solve", _doc(solver="nonesuch"), 400,
      "rejected", "unknown_solver"),
     ("post_unknown_route", "POST", "/nowhere", _doc(), 404, "not_found",
@@ -86,6 +126,27 @@ def test_edge_answers(served, row):
     _, method, path, body, status, error, reason = row
     assert _exchange(served.url, method, path, body) == (status, error,
                                                          reason, False)
+
+
+def test_negative_content_length_is_refused_and_closed(served):
+    # The body's end is unknown: the server answers 400 and closes,
+    # rather than reading until the client gives up.
+    host, _, port = served.url[len("http://"):].rpartition(":")
+    with socket.create_connection((host, int(port)), timeout=30) as sock:
+        sock.sendall(b"POST /solve HTTP/1.1\r\nHost: edge\r\n"
+                     b"Content-Length: -1\r\n\r\n{}")
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    assert b'"bad_request"' in reply
+
+
+def test_refused_wait_queues_nothing(served):
+    before = served.service.metrics()["requests"]
+    body = _slow(13, threading.TIMEOUT_MAX * 2)
+    assert _exchange(served.url, "POST", "/solve", body)[0] == 400
+    assert served.service.metrics()["requests"] == before
 
 
 def test_draining_server_answers_503_with_retry_after():

@@ -47,6 +47,9 @@ class TestBudgetSpec:
 
     @pytest.mark.parametrize("kwargs", [
         {"wall_time": -1.0}, {"max_expanded": -1}, {"max_weight_evals": -5},
+        # NaN is neither < 0 nor >= 0, and a NaN limit would never trip.
+        {"wall_time": float("nan")}, {"max_expanded": float("nan")},
+        {"max_weight_evals": float("nan")},
     ])
     def test_negative_limits_rejected(self, kwargs):
         with pytest.raises(ValueError):

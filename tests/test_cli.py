@@ -82,13 +82,21 @@ class TestGraphCommand:
         assert main(["graph", "zzz"]) == 2
 
 
-class TestSimulateCommand:
-    def test_runs_and_reports(self, capsys):
-        rc = main(["simulate", "--jobs", "12", "--machines", "2",
-                   "--cores", "2", "--seed", "1"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "first-fit" in out and "least-pressure" in out
+class TestReplayArguments:
+    @pytest.mark.parametrize("flag,value", [
+        ("--n", "0"),
+        ("--events", "-2"),
+        ("--events", "0"),
+        ("--churn", "-1"),
+        ("--churn", "nan"),
+        ("--churn", "inf"),
+        ("--saturation", "-1"),
+        ("--saturation", "nan"),
+    ])
+    def test_out_of_range_number_exits_2(self, capsys, flag, value):
+        assert main(["replay", "--n", "4", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(flag)
 
 
 class TestProfile:
@@ -125,10 +133,12 @@ class TestBudgetFlag:
         assert "budget: stopped" not in out
 
     def test_nonpositive_budget_rejected(self, capsys):
-        rc = main(["solve", "--cluster", "dual", "--budget", "0",
-                   "BT", "CG", "EP", "FT"])
-        assert rc == 2
-        assert "--budget must be positive" in capsys.readouterr().err
+        # NaN passes a `<= 0` guard, and a NaN deadline never trips.
+        for value in ("0", "nan"):
+            rc = main(["solve", "--cluster", "dual", "--budget", value,
+                       "BT", "CG", "EP", "FT"])
+            assert rc == 2, value
+            assert "--budget must be positive" in capsys.readouterr().err
 
     def test_tight_budget_still_prints_a_schedule(self, capsys):
         # 1ms on an 8-program quad instance: the anytime path must still
