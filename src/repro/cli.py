@@ -316,10 +316,25 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     return 0
 
 
+def _serve_arg_error(args: argparse.Namespace) -> Optional[str]:
+    """The first out-of-range ``serve`` number, as a message, or ``None``."""
+    if args.workers < 1:
+        return "--workers must be at least 1"
+    if args.max_queue < 1:
+        return "--max-queue must be at least 1"
+    if args.store_capacity < 1:
+        return "--store-capacity must be at least 1"
+    return None
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
+    error = _serve_arg_error(args)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 2
     shed = args.shed_solver or None
     stop = threading.Event()
     # SIGTERM triggers the graceful drain contract: stop admitting (503 +

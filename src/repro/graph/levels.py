@@ -12,7 +12,12 @@ its successors are the nodes ``{level_pid} ∪ (u-1 unscheduled others)``.
   chosen (exact, always safe);
 * **PC condensation** — Section III-E: successors with identical serial
   content and identical per-PC-job communication properties are collapsed to
-  one representative;
+  one representative.  On workloads with parallel jobs both come from
+  tables, one per level pid and set of scheduled PE ranks, built on first
+  use: each row's node, pid mask and interned condensation key.  A
+  state's successors are a few vector operations over its table, and
+  each row keeps its weight and member degradations once computed, which
+  the search reads for g;
 * **lazy monotone enumeration** — for member-wise monotone models and no
   extra node cost, successors stream in ascending weight at scale;
 * **MER window** — every HA* trim on such a model with a
@@ -53,45 +58,6 @@ __all__ = ["SuccessorGenerator", "HeuristicEstimator", "successor_columns"]
 # --------------------------------------------------------------------- #
 # Successor generation
 # --------------------------------------------------------------------- #
-
-
-def _iter_prefix_combinations(
-    groups: Sequence[Tuple[int, ...]], k: int
-) -> Iterator[Tuple[int, ...]]:
-    """Sorted ``k``-combinations that take a *prefix* of every group.
-
-    ``groups`` are disjoint sorted pid tuples, ordered by first member;
-    interchangeable processes share a group and only its lowest
-    unscheduled members are eligible, which makes the enumeration
-    canonical (each equivalence class appears exactly once).
-
-    Runs :func:`itertools.combinations` over the groups laid end to end
-    (each cut to its first ``k`` members, the most any combination can
-    take) and keeps a combination iff every member with a group
-    predecessor directly follows that predecessor.  The order is
-    lexicographic in that layout: a larger take from an earlier group
-    comes first.
-    """
-    flat: List[int] = []
-    pred: Dict[int, int] = {}  # pid -> the member before it in its group
-    for group in groups:
-        head = group[:k]
-        flat.extend(head)
-        pred.update(zip(head[1:], head))
-    combos = itertools.combinations(flat, k)
-    if not pred:
-        yield from combos
-        return
-    ascending = all(a < b for a, b in zip(flat, flat[1:]))
-    for combo in combos:
-        prev = -1
-        for pid in combo:
-            need = pred.get(pid)
-            if need is not None and need != prev:
-                break
-            prev = pid
-        else:
-            yield combo if ascending else tuple(sorted(combo))
 
 
 def successor_columns(
@@ -186,6 +152,49 @@ def _mer_window(
     return table
 
 
+def _frontier_combinations(
+    singles: Sequence[int], fronts: Sequence[Sequence[int]], k: int
+) -> Iterator[Tuple[int, ...]]:
+    """The ``k``-subsets of ``singles`` and the ``fronts`` that take a
+    prefix of every front, each as a sorted tuple (in no set order)."""
+
+    def takes(i: int, room: int) -> Iterator[Tuple[int, ...]]:
+        if i == len(fronts):
+            yield ()
+            return
+        front = fronts[i]
+        for t in range(min(room, len(front)) + 1):
+            head = tuple(front[:t])
+            for tail in takes(i + 1, room - t):
+                yield head + tail
+
+    for fixed in takes(0, k):
+        for combo in itertools.combinations(singles, k - len(fixed)):
+            yield tuple(sorted(fixed + combo))
+
+
+class _LevelTable:
+    """The successors of every state that shares a level pid and a PE
+    frontier, as arrays.
+
+    Row ``i`` is the ``i``-th node in pid-lexicographic order: ``nodes``
+    holds it as a tuple, ``words`` its pid mask as ``⌈n/64⌉`` uint64
+    words.  ``key_ids`` interns each row's condensation key, or is None
+    when every row is its own class.  ``weights`` (NaN until scored) and
+    ``costs`` (``(extra cost, member degradations)``) fill in the first
+    time a row is handed out.
+    """
+
+    __slots__ = ("nodes", "words", "key_ids", "weights", "costs")
+
+    def __init__(self, nodes, words, key_ids):
+        self.nodes: List[Tuple[int, ...]] = nodes
+        self.words = words
+        self.key_ids = key_ids
+        self.weights = np.full(len(nodes), np.nan)
+        self.costs: list = [None] * len(nodes)
+
+
 class SuccessorGenerator:
     """Enumerates the valid successor nodes of a search state."""
 
@@ -249,6 +258,14 @@ class SuccessorGenerator:
         )
         self._levels_sorted: Optional[List[List[Tuple[float, Tuple[int, ...]]]]] = None
         self.stats = {"generated": 0, "condensed_away": 0}
+        # Parallel workloads: (level pid, scheduled PE-bucketed pids) -> its
+        # table, and the per-pid bit words and PE groups they are built
+        # from (on the first table).
+        self._tables: Dict[Tuple[int, int], _LevelTable] = {}
+        self._pid_bits: Optional[np.ndarray] = None
+        self._pe_groups: List[Tuple[int, ...]] = []
+        self._pe_mask = 0
+        self._singles: List[int] = []
         if self._has_parallel and condense_pc:
             self._build_condensation_tables()
 
@@ -354,36 +371,10 @@ class SuccessorGenerator:
 
     # ------------------------------------------------------------------ #
 
-    def _groups(self, rest: Sequence[int]) -> List[Tuple[int, ...]]:
-        """Group interchangeable PE processes; everything else is a singleton.
-
-        Two PE ranks bucket together only when they belong to the same job
-        AND the degradation model declares them exact substitutes
-        (``interchangeable_key``) — arbitrary per-pid models keep every
-        rank distinct, which preserves exactness.
-        """
-        model = self.problem.model
-        singles: List[Tuple[int, ...]] = []
-        pe_groups: Dict[tuple, List[int]] = {}
-        for pid in rest:
-            if self.condense_pe and self._kind[pid] is JobKind.PE:
-                key = (self._job_id[pid], model.interchangeable_key(pid))
-                pe_groups.setdefault(key, []).append(pid)
-            else:
-                singles.append((pid,))
-        groups = singles + [tuple(sorted(v)) for v in pe_groups.values()]
-        groups.sort(key=lambda g: g[0])
-        return groups
-
-    def count_valid_nodes(self, unscheduled: Sequence[int]) -> int:
-        """C(|unscheduled| - 1, u - 1): valid nodes before condensation."""
-        return math.comb(len(unscheduled) - 1, self.problem.u - 1)
-
     def successors(
         self,
         unscheduled: Tuple[int, ...],
         limit: Optional[int] = None,
-        sort: bool = False,
         scheduled: Optional[int] = None,
     ):
         """Successor nodes of a state, as ``(node, weight)`` pairs.
@@ -396,28 +387,35 @@ class SuccessorGenerator:
         limit:
             Keep only the ``limit`` lowest-weight successors (HA*'s MER
             trimming).  Implies weight ordering of the survivors.
-        sort:
-            Return successors in ascending weight even without ``limit``.
         scheduled:
             The state's scheduled-pid bitmask (the complement of
             ``unscheduled``).  Given, the same successors come back as the
             columns ``(nodes, weights, child_masks)`` of
             :func:`successor_columns`, nodes as tuples or lists; a MER
-            window computes the child masks in its kernel call.
+            window computes the child masks in its kernel call.  On
+            workloads with parallel jobs a fourth column holds each
+            node's ``(extra cost, member degradations)``.
         """
+        mask = scheduled
+        if mask is None and (self._has_parallel or (
+                limit is not None and self._rank_order)):
+            mask = (1 << self.problem.n) - 1
+            for pid in unscheduled:
+                mask ^= 1 << pid
+        if self._has_parallel:
+            columns = self._successors_table(unscheduled, limit, mask,
+                                             costs=scheduled is not None)
+            if scheduled is not None:
+                return columns
+            return list(zip(columns[0], columns[1]))
         if (limit is not None and self._rank_order
                 and len(unscheduled) > self._k):
-            mask = scheduled
-            if mask is None:
-                mask = (1 << self.problem.n) - 1
-                for pid in unscheduled:
-                    mask ^= 1 << pid
             columns = self._successors_window(unscheduled, limit, mask)
             if columns is not None:
                 if scheduled is not None:
                     return columns
                 return list(zip(map(tuple, columns[0]), columns[1]))
-        pairs = self._successor_pairs(unscheduled, limit, sort)
+        pairs = self._successor_pairs(unscheduled, limit)
         if scheduled is None:
             return pairs
         return successor_columns(scheduled, pairs)
@@ -426,9 +424,9 @@ class SuccessorGenerator:
         self,
         unscheduled: Tuple[int, ...],
         limit: Optional[int],
-        sort: bool,
     ) -> List[Tuple[Tuple[int, ...], float]]:
-        """:meth:`successors` on every path but the MER window."""
+        """:meth:`successors` of a serial workload, on every path but the
+        MER window."""
         if not unscheduled:
             return []
         level_pid = unscheduled[0]
@@ -462,47 +460,160 @@ class SuccessorGenerator:
             self.stats["generated"] += len(out)
             return out
 
-        if self._has_parallel and self.condense_pe:
-            combos: Iterator[Tuple[int, ...]] = _iter_prefix_combinations(
-                self._groups(rest), k
-            )
-        else:
-            combos = itertools.combinations(rest, k)
         # combos are ascending and level_pid is the smallest unscheduled
         # pid, so each concatenation is already in node-id order.
-        if self.condense_pc and self._has_parallel:
-            seen_keys = set()
-            key_of = self._condensation_key
-            nodes: List[Tuple[int, ...]] = []
-            condensed = 0
-            for combo in combos:
-                node = (level_pid,) + combo
-                key = key_of(node)
-                if key in seen_keys:
-                    condensed += 1
-                    continue
-                seen_keys.add(key)
-                nodes.append(node)
-            self.stats["condensed_away"] += condensed
-        else:
-            nodes = [(level_pid,) + combo for combo in combos]
-        # Score the whole surviving level at once: one batch-kernel call
-        # instead of one Python weight evaluation per node.
+        nodes = [(level_pid,) + combo
+                 for combo in itertools.combinations(rest, k)]
+        # Score the whole level at once: one batch-kernel call instead of
+        # one Python weight evaluation per node.
         if self.problem.supports_batch_weights():
             weights = self.problem.node_weights_batch(nodes)
         else:
             node_weight = self.problem.node_weight
             weights = np.asarray([node_weight(nd) for nd in nodes])
         self.stats["generated"] += len(nodes)
-        if limit is not None or sort:
+        if limit is not None:
             # Fused score-then-select (the MER top-n/u trim): the k lowest
             # (weight, node) survivors come straight off the scored array —
             # the full level is never materialized as Python pairs only to
             # be re-partitioned by a heap.
-            k = len(nodes) if limit is None else min(limit, len(nodes))
-            sel = _kernels.select_smallest(weights, k)
+            sel = _kernels.select_smallest(weights, min(limit, len(nodes)))
             return [(nodes[i], float(weights[i])) for i in sel]
         return list(zip(nodes, weights.tolist()))
+
+    def _successors_table(
+        self,
+        unscheduled: Tuple[int, ...],
+        limit: Optional[int],
+        scheduled: int,
+        costs: bool,
+    ) -> tuple:
+        """:meth:`successors` of a workload with parallel jobs, as the
+        columns ``(nodes, weights, child_masks, costs)`` (the last empty
+        unless ``costs``), read from a :class:`_LevelTable`.
+
+        The table is keyed by the level pid and the scheduled PE-bucketed
+        pids, so its rows already take a prefix of each PE group's
+        unscheduled ranks, and a row is valid iff it shares no pid with
+        ``scheduled``.  Among the valid rows the first of each
+        condensation key is kept, in row order; ``limit`` keeps the
+        lightest of those in ``(weight, row)`` order.  Rows are scored
+        (through the problem's node-weight methods) the first time they
+        are kept, and their costs read the first time they are handed out
+        with ``costs``.
+        """
+        if len(unscheduled) <= self._k:
+            return [], [], [], []
+        if self._pid_bits is None:
+            self._build_pid_tables()
+        key = (unscheduled[0], scheduled & self._pe_mask)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = self._build_table(*key)
+        sched = np.frombuffer(scheduled.to_bytes(self._mask_bytes, "little"),
+                              dtype="<u8")
+        words = table.words
+        rows = np.flatnonzero(~(words & sched).any(axis=1))
+        if table.key_ids is not None:
+            _, first = np.unique(table.key_ids[rows], return_index=True)
+            self.stats["condensed_away"] += len(rows) - len(first)
+            first.sort()
+            rows = rows[first]
+        self.stats["generated"] += len(rows)
+        fresh = rows[np.isnan(table.weights[rows])]
+        if len(fresh):
+            # Through the problem's weight methods, so its memo, counters
+            # and weight budget see every row scored.
+            problem = self.problem
+            batch = [table.nodes[i] for i in fresh.tolist()]
+            if problem.supports_batch_weights():
+                table.weights[fresh] = problem.node_weights_batch(batch)
+            else:
+                node_weight = problem.node_weight
+                table.weights[fresh] = [node_weight(nd) for nd in batch]
+        if limit is not None:
+            rows = rows[_kernels.select_smallest(table.weights[rows],
+                                                 min(limit, len(rows)))]
+        weights = table.weights[rows].tolist()
+        child = words[rows] | sched
+        masks = child[:, 0].tolist()
+        for w in range(1, child.shape[1]):
+            masks = [m | (x << 64 * w)
+                     for m, x in zip(masks, child[:, w].tolist())]
+        rows = rows.tolist()
+        nodes = [table.nodes[i] for i in rows]
+        out_costs = []
+        if costs:
+            row_costs = table.costs
+            problem = self.problem
+            for i, node in zip(rows, nodes):
+                cost = row_costs[i]
+                if cost is None:
+                    cost = row_costs[i] = (problem.extra_cost(node),
+                                           problem.node_degradations(node))
+                out_costs.append(cost)
+        return nodes, weights, masks, out_costs
+
+    def _build_table(self, level_pid: int, pe_scheduled: int) -> _LevelTable:
+        """The :class:`_LevelTable` of the states at level ``level_pid``
+        whose scheduled PE-bucketed pids are the mask ``pe_scheduled``.
+
+        Its rows are ``level_pid`` plus ``k`` others: any pids above it
+        outside the PE groups, and from each group a prefix of its
+        unscheduled ranks above ``level_pid``.  When ``level_pid`` is in a
+        group it is that group's lowest unscheduled rank, so the rows
+        still take a prefix of every group.
+        """
+        k = self._k
+        singles = [pid for pid in self._singles if pid > level_pid]
+        fronts = []
+        for group in self._pe_groups:
+            front = [pid for pid in group
+                     if pid > level_pid and not pe_scheduled >> pid & 1][:k]
+            if front:
+                fronts.append(front)
+        nodes = [(level_pid,) + combo for combo in
+                 sorted(_frontier_combinations(singles, fronts, k))]
+        members = np.array(nodes, dtype=np.intp).reshape(len(nodes), k + 1)
+        bits = self._pid_bits
+        words = bits[members[:, 0]]
+        for j in range(1, k + 1):
+            words |= bits[members[:, j]]
+        key_ids = None
+        if self.condense_pc:
+            key_of = self._condensation_key
+            ids: Dict[Tuple, int] = {}
+            key_ids = np.fromiter(
+                (ids.setdefault(key_of(node), len(ids)) for node in nodes),
+                dtype=np.intp, count=len(nodes))
+        return _LevelTable(nodes, words, key_ids)
+
+    def _build_pid_tables(self) -> None:
+        """Each pid's bit as ``⌈n/64⌉`` uint64 words, and the PE groups.
+
+        Two PE ranks share a group only when they belong to the same job
+        AND the degradation model declares them exact substitutes
+        (``interchangeable_key``): arbitrary per-pid models keep every
+        rank distinct, which preserves exactness.  Without PE bucketing
+        there are no groups; every pid outside a group is a single.
+        """
+        n = self.problem.n
+        bits = np.zeros((n, self._mask_bytes // 8), dtype=np.uint64)
+        pids = np.arange(n)
+        bits[pids, pids >> 6] = np.left_shift(
+            np.uint64(1), (pids & 63).astype(np.uint64))
+        self._pid_bits = bits
+        groups: Dict[tuple, List[int]] = {}
+        if self.condense_pe:
+            model = self.problem.model
+            for pid in range(n):
+                if self._kind[pid] is JobKind.PE:
+                    key = (self._job_id[pid], model.interchangeable_key(pid))
+                    groups.setdefault(key, []).append(pid)
+        self._pe_groups = [tuple(g) for g in groups.values() if len(g) > 1]
+        grouped = {pid for g in self._pe_groups for pid in g}
+        self._pe_mask = sum(1 << pid for pid in grouped)
+        self._singles = [pid for pid in range(n) if pid not in grouped]
 
     def supports_stream(self) -> bool:
         """True when successors can be streamed in exact ascending weight

@@ -98,9 +98,16 @@ class _Handler(BaseHTTPRequestHandler):
         """Consume the request body before replying on a non-handled POST.
 
         With HTTP/1.1 keep-alive, unread body bytes would be parsed as the
-        next request on the same connection, desyncing the client.
+        next request on the same connection, desyncing the client; a
+        length that is not a count leaves the body's end unknown, so the
+        connection closes after the reply.
         """
-        remaining = int(self.headers.get("Content-Length") or 0)
+        try:
+            remaining = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            remaining = -1
+        if remaining < 0:
+            self.close_connection = True
         while remaining > 0:
             chunk = self.rfile.read(min(remaining, 65536))
             if not chunk:

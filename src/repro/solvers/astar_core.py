@@ -98,7 +98,10 @@ class SuccessorSource:
     (:func:`~repro.graph.levels.successor_columns`), each child mask the
     child's scheduled-pid bitmask; ``children(rec, limit)``, where set,
     returns those columns directly (a MER window computes the masks in
-    its kernel call), and nodes may then be lists.
+    its kernel call), and nodes may then be lists.  A fourth column, where
+    present, holds each node's ``(extra cost, member degradations)`` —
+    the graph's level tables keep them per node — and is read in place of
+    the problem's ``extra_cost`` and ``node_degradations``.
     ``h(rec)`` is an admissible estimate of the remaining distance,
     ``depth(rec)`` the level (or slot) ``rec`` has reached,
     ``cheapest(unscheduled)`` the node a greedy completion appends next
@@ -482,31 +485,40 @@ class AStarSearch(Solver):
         max_depth = -1
         counters = {"pushed": 1, "dismissed": 0}
 
-        node_degradations = problem.node_degradations
+        # What each pid's degradation feeds: its parallel job's index, -1
+        # for a real serial process (the serial sum), -2 for padding.
+        feeds = [
+            par_index[job_ids[pid]] if kinds[pid] is not JobKind.SERIAL
+            else (-2 if imaginary[pid] else -1)
+            for pid in range(n)
+        ]
 
-        def make_child(rec: _Record, node: Tuple[int, ...],
-                       mask: int, key: int) -> Optional[_Record]:
+        def node_cost(node: Tuple[int, ...]):
+            return problem.extra_cost(node), problem.node_degradations(node)
+
+        def make_child(rec: _Record, node: Tuple[int, ...], mask: int,
+                       key: int, cost) -> Optional[_Record]:
             """The child record for expanding ``rec`` with ``node`` on a
             workload with parallel jobs, applying the dismiss strategy;
             None if the child is dismissed.  ``mask`` is the child's
-            scheduled-pid mask, ``key`` its state key."""
+            scheduled-pid mask, ``key`` its state key and ``cost`` the
+            node's ``(extra cost, member degradations)``."""
+            extra, degs = cost
             par_max = list(rec.par_max)
             par_remaining = list(rec.par_remaining)
             floor_serial_rest = rec.floor_serial_rest
             bal_a, bal_a2 = rec.bal_a, rec.bal_a2
-            serial_sum = rec.serial_sum + problem.extra_cost(node)
-            for pid, d in zip(node, node_degradations(node)):
+            serial_sum = rec.serial_sum + extra
+            for pid, d in zip(node, degs):
                 if use_balance:
                     p = pressures[pid]
                     bal_a -= p
                     bal_a2 -= p * p
-                kind = kinds[pid]
-                if kind is JobKind.SERIAL:
-                    if not imaginary[pid]:
-                        serial_sum += d
-                        floor_serial_rest -= dmin[pid]
-                else:
-                    k = par_index[job_ids[pid]]
+                k = feeds[pid]
+                if k == -1:
+                    serial_sum += d
+                    floor_serial_rest -= dmin[pid]
+                elif k >= 0:
                     if d > par_max[k]:
                         par_max[k] = d
                     par_remaining[k] -= 1
@@ -567,15 +579,17 @@ class AStarSearch(Solver):
         def expand(rec: _Record, columns) -> List[_Record]:
             """The children of ``rec`` that survive dismissal, in order,
             from its successors' ``(nodes, weights, child_masks)``."""
-            nodes, weights, masks = columns
+            nodes, weights, masks = columns[:3]
             keys = masks
             if keys_leader is not None and keys_leader(rec):
                 keys = [mask | ((node[0] + 1) << n)
                         for node, mask in zip(nodes, masks)]
             out = []
             if not serial_only:
-                for node, mask, key in zip(nodes, masks, keys):
-                    cand = make_child(rec, node, mask, key)
+                costs = (columns[3] if len(columns) > 3
+                         else map(node_cost, nodes))
+                for node, mask, key, cost in zip(nodes, masks, keys, costs):
+                    cand = make_child(rec, node, mask, key, cost)
                     if cand is not None:
                         out.append(cand)
                 counters["pushed"] += len(out)

@@ -195,14 +195,17 @@ class TestBatchScoredSuccessors:
         assert len(out) == math.comb(11, 3)
 
     def test_presorted_levels_batch_matches(self):
-        # MatrixDegradationModel without pressure-free path -> presorted
-        # levels, now scored through the batch kernel.
+        # MatrixDegradationModel without its fast scalar weight (which
+        # would select the proxy stream) -> presorted levels, scored
+        # through the batch kernel.
         model = MatrixDegradationModel.random_interaction(8, cores=2, seed=3)
+        model.node_weight_fast = None
         jobs = [serial_job(i, f"j{i}") for i in range(8)]
         wl = Workload(jobs, cores_per_machine=2)
         problem = CoSchedulingProblem(wl, DUAL_CORE_CLUSTER, model)
         gen = SuccessorGenerator(problem)
-        out = gen.successors(tuple(range(8)), sort=True)
+        assert gen._presort_ok and problem.supports_batch_weights()
+        out = gen.successors(tuple(range(8)))
         weights = [w for _, w in out]
         assert weights == sorted(weights)
         for node, w in out:
@@ -313,8 +316,8 @@ class TestMerWindow:
 
 
 # --------------------------------------------------------------------- #
-# Table-driven condensation keys and the flat PE-prefix enumerator,
-# checked against the reference key and a brute-force enumeration.
+# Table-driven condensation keys and the level tables, checked against
+# the reference key and a brute-force enumeration.
 # --------------------------------------------------------------------- #
 
 
@@ -464,38 +467,107 @@ class TestTableDrivenCondensation:
             assert gen.stats["condensed_away"] - before == condensed
 
 
-def _take_descending_reference(groups, k):
-    """The prefix combinations in take-vector order: the first group's
-    largest take first, recursively (the enumeration's definition)."""
-    if k == 0:
-        return [()]
-    if not groups:
-        return []
-    head, tail = groups[0], groups[1:]
-    out = []
-    for take in range(min(len(head), k), -1, -1):
-        out += [tuple(head[:take]) + rest
-                for rest in _take_descending_reference(tail, k - take)]
-    return [tuple(sorted(c)) for c in out]
+def _limited(pairs, limit):
+    """The ``limit`` lightest of ``pairs`` in ``(weight, position)`` order."""
+    order = sorted(range(len(pairs)), key=lambda i: (pairs[i][1], i))
+    return [pairs[i] for i in order[:limit]]
 
 
-class TestPrefixCombinations:
-    def test_interleaved_groups_keep_take_order(self):
-        # Group (1, 3) interleaves with singleton (2,): the larger take from
-        # the first group comes first, so (1, 3) precedes (1, 2).
-        got = list(levels._iter_prefix_combinations([(1, 3), (2,)], 2))
-        assert got == [(1, 3), (1, 2)]
+def _wide_problem(seed):
+    """n = 72 on quad-cores: 60 serial, a 6-rank PE job on pids 60-65 and
+    a 2x3 PC job on 66-71, so masks, PE groups and condensation keys
+    cross the 64-pid word boundary."""
+    from repro.comm.topology import grid_2d
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_take_descending_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        pids = [int(p) for p in rng.permutation(12)]
-        groups, i = [], 0
-        while i < len(pids):
-            size = int(rng.integers(1, 5))
-            groups.append(tuple(sorted(pids[i:i + size])))
-            i += size
-        groups.sort(key=lambda g: g[0])
-        for k in range(1, 6):
-            assert (list(levels._iter_prefix_combinations(groups, k))
-                    == _take_descending_reference(groups, k))
+    specs = [("serial",)] * 60 + [("pe", 6), ("pc", grid_2d(2, 3, 2e9))]
+    return _mixed_problem(specs, QUAD_CORE_CLUSTER, seed)
+
+
+def _wide_states(seed):
+    """Deep states of :func:`_wide_problem`, their level pids below and
+    above 64, PE ranks scheduled in random order."""
+    rng = np.random.default_rng(seed)
+    out = [tuple(range(56, 72))]
+    for low, size in ((50, 16), (58, 12), (64, 8)):
+        out.append(tuple(sorted(
+            int(p) for p in rng.choice(np.arange(low, 72), size=size,
+                                       replace=False)
+        )))
+    return out
+
+
+def _scheduled_mask(problem, unscheduled):
+    return ((1 << problem.n) - 1) ^ sum(1 << p for p in unscheduled)
+
+
+class TestLevelTables:
+    @pytest.mark.parametrize("condense", [(True, True), (True, False),
+                                          (False, True)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_multi_word_masks_match_brute_reference(self, seed, condense):
+        condense_pe, condense_pc = condense
+        problem = _wide_problem(seed)
+        assert problem.n == 72
+        gen = SuccessorGenerator(problem, condense_pe=condense_pe,
+                                 condense_pc=condense_pc)
+        for state in _wide_states(seed):
+            before = gen.stats["condensed_away"]
+            want, condensed = _brute_successors(problem, state, condense_pe,
+                                                condense_pc)
+            assert gen.successors(state) == want
+            assert gen.stats["condensed_away"] - before == condensed
+            mask = _scheduled_mask(problem, state)
+            nodes, weights, masks, costs = gen.successors(state,
+                                                          scheduled=mask)
+            assert list(zip(nodes, weights)) == want
+            assert masks == [mask | sum(1 << p for p in node)
+                             for node in nodes]
+            assert costs == [(problem.extra_cost(node),
+                              problem.node_degradations(node))
+                             for node in nodes]
+
+    @pytest.mark.parametrize("limit", [1, 3, 18])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_limit_keeps_the_lightest_like_brute_reference(self, seed,
+                                                            limit):
+        # HA*'s MER trim on a mixed problem: the limit applies after
+        # condensation, lightest first, ties in row order.
+        problem = _wide_problem(seed)
+        gen = SuccessorGenerator(problem, condense_pc=True)
+        for state in _wide_states(seed):
+            want, _ = _brute_successors(problem, state, True, True)
+            assert gen.successors(state, limit=limit) == _limited(want,
+                                                                  limit)
+            mask = _scheduled_mask(problem, state)
+            nodes, weights, masks, _ = gen.successors(state, limit=limit,
+                                                      scheduled=mask)
+            assert list(zip(nodes, weights)) == _limited(want, limit)
+
+    def test_pe_ranks_scheduled_out_of_order(self):
+        # PE job A on pids 0-4, job B on 5-7.  Rank 2 of A was scheduled
+        # before rank 1: A's lowest unscheduled ranks are now 1, 3, 4, so
+        # a node may take 3 without 2 but never 4 without 3.
+        problem = _mixed_problem([("pe", 5), ("pe", 3)], QUAD_CORE_CLUSTER, 0)
+        state = (1, 3, 4, 5, 6, 7)
+        for condense_pc in (False, True):
+            gen = SuccessorGenerator(problem, condense_pc=condense_pc)
+            want, _ = _brute_successors(problem, state, True, condense_pc)
+            got = gen.successors(state)
+            assert got == want
+            nodes = [node for node, _ in got]
+            assert (1, 3, 5, 6) in nodes
+            assert not any(4 in node and 3 not in node for node in nodes)
+            assert not any(6 in node and 5 not in node for node in nodes)
+
+    def test_pe_heavy_table_holds_only_prefix_takes(self):
+        # Two 8-rank PE jobs on eight-core machines (n = 16): the root's
+        # successors take 7 ranks as a prefix of each job, 8 nodes, and
+        # its table holds just those, not the level's C(15, 7) = 6,435
+        # combinations.
+        problem = _mixed_problem([("pe", 8)] * 2, EIGHT_CORE_CLUSTER, 0)
+        gen = SuccessorGenerator(problem)
+        state = tuple(range(16))
+        want, _ = _brute_successors(problem, state, True, False)
+        assert gen.successors(state) == want
+        assert len(want) == 8
+        assert [len(t.nodes) for t in gen._tables.values()] == [8]

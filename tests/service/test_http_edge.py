@@ -142,6 +142,22 @@ def test_negative_content_length_is_refused_and_closed(served):
     assert b'"bad_request"' in reply
 
 
+@pytest.mark.parametrize("length", [b"abc", b"-1"])
+def test_unknown_route_with_unreadable_length_is_404_and_closed(served,
+                                                                length):
+    # The route does not exist whatever the body holds, so the answer is
+    # its 404; the body's end is unknown, so the connection closes.
+    host, _, port = served.url[len("http://"):].rpartition(":")
+    with socket.create_connection((host, int(port)), timeout=30) as sock:
+        sock.sendall(b"POST /nowhere HTTP/1.1\r\nHost: edge\r\n"
+                     b"Content-Length: " + length + b"\r\n\r\n{}")
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    assert reply.startswith(b"HTTP/1.1 404 ")
+    assert b'"not_found"' in reply
+
+
 def test_refused_wait_queues_nothing(served):
     before = served.service.metrics()["requests"]
     body = _slow(13, threading.TIMEOUT_MAX * 2)

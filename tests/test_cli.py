@@ -273,3 +273,11 @@ class TestServe:
         assert drains == [0.5]
         assert rc == code
         assert "draining" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--workers", "--max-queue",
+                                      "--store-capacity"])
+    def test_out_of_range_count_exits_2(self, capsys, flag):
+        rc = main(["serve", "--port", "0", flag, "0"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"{flag} must be at least 1\n"
